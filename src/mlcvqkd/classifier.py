@@ -16,6 +16,8 @@ no state carries that set.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +25,7 @@ import numpy as np
 from .errors import InvalidInputError, InvalidParameterError
 from .statespace import N_LABELS, ModulationScheme
 
-_NEIGHBOR_CHUNK = 256  # queries per distance-matrix block; bounds memory at ~chunk*m floats
+_NEIGHBOR_BLOCK_BYTES = 8 * 2**20  # size of one query block's Gram matrix
 
 
 @dataclass(frozen=True)
@@ -35,12 +37,14 @@ class QmlcParams:
     t: float = 1.0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise InvalidParameterError(f"k must be a positive integer, got {self.k}")
-        if self.s <= 0:
-            raise InvalidParameterError(f"smoothing s must be positive, got {self.s}")
-        if self.t <= 0:
-            raise InvalidParameterError(f"threshold t must be positive, got {self.t}")
+        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral) or self.k < 1:
+            raise InvalidParameterError(f"k must be a positive integer, got {self.k!r}")
+        object.__setattr__(self, "k", int(self.k))
+        for name, what in (("s", "smoothing s"), ("t", "threshold t")):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value) or value <= 0):
+                raise InvalidParameterError(f"{what} must be a finite positive number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -108,33 +112,61 @@ class TrainedClassifier:
 
 
 def _neighbor_indices(queries, training, k, exclude_self=False):
-    """Indices (n, k) of each query's k nearest training rows.
+    """Indices (n, k) of each query's k nearest training rows, nearest first.
 
-    Exact search; ties at equal distance are broken toward the lower
-    training index (stable sort on the distance row). With exclude_self,
-    query row i is assumed to be training row i and is skipped.
+    Exact contract: the result equals a stable argsort of every query's
+    row of distances sqrt(sum((q - t)**2)), evaluated with exactly that
+    expression, cut to its first k entries. Equal distances therefore go
+    to the lower training index. With exclude_self, query row i is
+    assumed to be training row i and is skipped. k must be smaller than
+    the number of training rows, and every feature must be finite.
+
+    The search runs in two stages. The Gram expansion |q|^2 + |t|^2 -
+    2 q.t gives every squared distance with one matrix product, but its
+    rounding differs from the direct formula, so by itself it could swap
+    near-equal neighbours or break a tie the other way. It only selects
+    candidates: each row whose Gram value is within a rounding bound of
+    the k-th smallest. The bound covers the error of both formulas, so
+    every row the direct formula ranks in the first k is a candidate.
+    The re-check recomputes the candidates' distances with the direct
+    formula and orders them by (distance, index). Distances are compared
+    after the square root, as the direct search does: sqrt can merge two
+    squared distances one ulp apart into a tie, which then goes to the
+    lower index.
     """
-    n = queries.shape[0]
+    n, w = queries.shape
+    m = training.shape[0]
+    if k >= m:
+        raise InvalidParameterError(f"k={k} must be smaller than the training size {m}")
+    if training.shape[1] != w:
+        raise InvalidInputError(f"queries have {w} features, the training rows {training.shape[1]}")
     out = np.empty((n, k), dtype=np.intp)
-    for start in range(0, n, _NEIGHBOR_CHUNK):
-        stop = min(start + _NEIGHBOR_CHUNK, n)
+    train_sq = np.einsum("ij,ij->i", training, training)
+    query_sq = np.einsum("ij,ij->i", queries, queries)
+    if not (np.isfinite(train_sq).all() and np.isfinite(query_sq).all()):
+        raise InvalidInputError("the neighbour search needs finite features")
+    # twice the worst rounding gap between the two formulas, sqrt ties included
+    slack = 8.0 * (w + 4) * np.finfo(float).eps * (query_sq + train_sq.max())
+    minus_twice_t = -2.0 * training.T  # exact scaling
+    chunk = max(1, _NEIGHBOR_BLOCK_BYTES // (8 * m))
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
         block = queries[start:stop]
-        diff = block[:, None, :] - training[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=2))
+        # |t|^2 - 2 q.t: the Gram distance less |q|^2, which ranks a row the same
+        gram = block @ minus_twice_t
+        gram += train_sq
         if exclude_self:
-            cols = np.arange(start, stop)
-            dist[np.arange(stop - start), cols] = np.inf
-        order = np.argsort(dist, axis=1, kind="stable")
-        out[start:stop] = order[:, :k]
+            gram[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        kth = np.partition(gram, k - 1, axis=1)[:, k - 1]
+        rows, cols = np.divmod(np.flatnonzero(gram <= (kth + slack[start:stop])[:, None]), m)
+
+        diff = block[rows] - training[cols]
+        dist = np.sqrt(np.sum(diff * diff, axis=-1))
+        order = np.lexsort((cols, dist, rows))
+        # candidates stay grouped by row; each group's first k are the answer
+        first = np.searchsorted(rows, np.arange(stop - start))
+        out[start:stop] = cols[order][first[:, None] + np.arange(k)]
     return out
-
-
-def count_neighbors(x: np.ndarray, training: np.ndarray, k: int) -> np.ndarray:
-    """The k training indices nearest to x, nearest first."""
-    training = np.asarray(training, dtype=float)
-    if k >= training.shape[0]:
-        raise InvalidParameterError(f"k={k} must be smaller than the training size {training.shape[0]}")
-    return _neighbor_indices(np.asarray(x, dtype=float)[None, :], training, k)[0]
 
 
 def train(features: np.ndarray, label_flags: np.ndarray, params: QmlcParams) -> TrainedClassifier:
@@ -147,8 +179,6 @@ def train(features: np.ndarray, label_flags: np.ndarray, params: QmlcParams) -> 
         )
     m = features.shape[0]
     k, s = params.k, params.s
-    if m <= k:
-        raise InvalidParameterError(f"need more than k={k} training samples, got {m}")
 
     n_labels = label_flags.shape[1]
     prior_pos = (s + label_flags.sum(axis=0)) / (2.0 * s + m)

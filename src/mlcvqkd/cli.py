@@ -28,7 +28,7 @@ import numpy as np
 
 from . import classifier as qmlc
 from .channel import ChannelParams, RandomSource, transmit_batch
-from .errors import InvalidInputError, LearningRejectedError, MlcvqkdError
+from .errors import InvalidInputError, InvalidParameterError, LearningRejectedError, MlcvqkdError
 from .keyrate import KeyRateParams, Protocol, optimize_vm, rate_asymptotic, rate_finite
 from .protocol import (
     SessionConfig,
@@ -133,6 +133,15 @@ def _stage_rng(config: dict, stage: str) -> RandomSource:
     return master.split(_N_STAGES)[_STAGE[stage]]
 
 
+def _integer(value, name: str) -> int:
+    """An integer config value: 9 and 9.0 pass, 9.5 and true do not."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+
+
 def _session_config(config: dict) -> SessionConfig:
     ch = config["channel"]
     return SessionConfig(
@@ -146,7 +155,7 @@ def _session_config(config: dict) -> SessionConfig:
             shot_noise=float(ch["shot_noise"]),
         ),
         qmlc=qmlc.QmlcParams(
-            k=int(config["classifier"]["k"]),
+            k=_integer(config["classifier"]["k"], "classifier.k"),
             s=float(config["classifier"]["s"]),
             t=float(config["classifier"]["t"]),
         ),

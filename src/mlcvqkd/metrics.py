@@ -74,41 +74,43 @@ def prf(pred_flags: np.ndarray, true_flags: np.ndarray) -> PrfResult:
     return PrfResult(precision=precision, recall=recall, fpr=fpr)
 
 
-def _rank_order(score_row: np.ndarray) -> np.ndarray:
-    """1-based rank of each label: descending score, ties to lower index."""
-    order = np.argsort(-score_row, kind="stable")  # stable keeps index order on ties
-    ranks = np.empty(len(score_row), dtype=int)
-    ranks[order] = np.arange(1, len(score_row) + 1)
-    return ranks
-
-
 def average_precision(scores: np.ndarray, true_flags: np.ndarray) -> float:
     """Mean over samples of the per-sample label-ranking precision.
 
     For each sample and each of its true labels y, the fraction of labels
     ranked at or above y that are themselves true, averaged over the
     sample's labels, then over samples with at least one true label.
+    Sums run in a fixed order: a sample's terms by ascending rank, then
+    the samples in row order.
     """
     scores = np.asarray(scores, dtype=float)
     true = _as_flag_matrix(true_flags, "truths")
     if scores.shape != true.shape:
         raise InvalidInputError(f"score shape {scores.shape} != truth shape {true.shape}")
 
-    total = 0.0
-    counted = 0
-    for score_row, true_row in zip(scores, true):
-        true_idx = np.flatnonzero(true_row)
-        if true_idx.size == 0:
-            continue
-        ranks = _rank_order(score_row)
-        true_ranks = np.sort(ranks[true_idx])
-        # with true ranks sorted ascending, i true labels rank at or above the i-th
-        sample_ap = np.mean([(i + 1) / r for i, r in enumerate(true_ranks)])
-        total += sample_ap
-        counted += 1
-    if counted == 0:
+    n_true = true.sum(axis=1)
+    scored = n_true > 0
+    if not scored.any():
         raise InvalidInputError("average precision needs at least one sample with a true label")
-    return total / counted
+    scores, true, n_true = scores[scored], true[scored], n_true[scored]
+    n_labels = true.shape[1]
+
+    # 1-based rank of each label: descending score, ties to lower index
+    order = np.argsort(-scores, axis=1, kind="stable")
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(1, n_labels + 1), axis=1)
+    # the true labels' ranks, ascending, lead each row (the others sort
+    # last): the i-th of them has i true labels at or above it
+    true_ranks = np.sort(np.where(true, ranks, n_labels + 1), axis=1)
+    terms = np.arange(1, n_labels + 1) / true_ranks
+
+    # each sample sums its own terms only: how np.sum pairs the terms
+    # depends on their number, so zero padding could change the rounding
+    per_sample = np.empty(len(n_true))
+    for count in np.unique(n_true):
+        rows = n_true == count
+        per_sample[rows] = terms[rows, :count].sum(axis=1) / count
+    return float(np.cumsum(per_sample)[-1] / len(per_sample))
 
 
 def roc_curve(scores: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, float]:

@@ -7,7 +7,9 @@ series route for the constellation weights, and explicit covariance
 matrices with numerical symplectic spectra instead of the closed-form
 eigenvalues of the key rate. Tests compare package output
 against these implementations (and against values frozen from 50-digit
-evaluations of the same routes).
+evaluations of the same routes). Two more are the package's own earlier
+code, kept where a faster path replaced it and must agree bit for bit:
+the direct neighbour search and the row-loop average precision.
 """
 
 from __future__ import annotations
@@ -138,6 +140,29 @@ def direct_average_precision(score_rows, truth_rows):
     return sum(per_sample) / len(per_sample)
 
 
+def loop_average_precision(scores, true_flags):
+    """Label-ranking average precision, one sample at a time.
+
+    The package's original row loop, kept as the reference for its
+    vectorized form: a stable argsort per row gives the ranks, and the
+    per-sample means are summed in row order.
+    """
+    total = 0.0
+    counted = 0
+    for score_row, true_row in zip(np.asarray(scores, dtype=float), np.asarray(true_flags, dtype=bool)):
+        true_idx = np.flatnonzero(true_row)
+        if true_idx.size == 0:
+            continue
+        order = np.argsort(-score_row, kind="stable")
+        ranks = np.empty(len(score_row), dtype=int)
+        ranks[order] = np.arange(1, len(score_row) + 1)
+        true_ranks = np.sort(ranks[true_idx])
+        sample_ap = np.mean([(i + 1) / r for i, r in enumerate(true_ranks)])
+        total += sample_ap
+        counted += 1
+    return total / counted
+
+
 def constellation_weights_series(a2, n_states):
     """Weights l_k by the discrete-Fourier route, independent of the
     closed hyperbolic/trigonometric forms used in the package."""
@@ -217,3 +242,28 @@ def covariance_matrix_rate(vm, transmittance, excess_noise, eta, v_el, beta, n_s
     chi_tot = 1.0 / t - 1.0 + excess_noise + (2.0 - eta + 2.0 * v_el) / (eta * t)
     mutual = math.log2((v + chi_tot) / (1.0 + chi_tot))
     return beta * mutual - chi
+
+
+def stable_argsort_neighbors(queries, training, k, exclude_self=False):
+    """The direct kNN search: every distance, then a stable argsort.
+
+    Indices (n, k) of each query's k nearest training rows. Ties at equal
+    distance are broken toward the lower training index. With
+    exclude_self, query row i is assumed to be training row i and is
+    skipped. This is the package's original search, kept verbatim as the
+    reference for the candidate-and-re-check search that replaced it.
+    """
+    chunk = 256  # queries per distance block
+    n = queries.shape[0]
+    out = np.empty((n, k), dtype=np.intp)
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        block = queries[start:stop]
+        diff = block[:, None, :] - training[None, :, :]
+        dist = np.sqrt(np.sum(diff * diff, axis=2))
+        if exclude_self:
+            cols = np.arange(start, stop)
+            dist[np.arange(stop - start), cols] = np.inf
+        order = np.argsort(dist, axis=1, kind="stable")
+        out[start:stop] = order[:, :k]
+    return out

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlcvqkd import classifier
+from mlcvqkd.channel import RandomSource
 from mlcvqkd.classifier import (
     QmlcParams,
     TrainedClassifier,
-    count_neighbors,
+    _neighbor_indices,
     decode_state,
     posterior_ratios,
     predict,
@@ -14,8 +16,10 @@ from mlcvqkd.classifier import (
     train,
 )
 from mlcvqkd.errors import InvalidInputError, InvalidParameterError
+from mlcvqkd.features import extract_batch, reference_set_for
+from mlcvqkd.protocol import SessionConfig, state_learning
 from mlcvqkd.statespace import ModulationKind, build_scheme
-from oracles import BruteForceMultiLabelKnn
+from oracles import BruteForceMultiLabelKnn, stable_argsort_neighbors
 
 
 def flags_from_sets(labelsets, n_labels=4):
@@ -39,27 +43,49 @@ def three_cluster_fixture():
     return np.array(points), labelsets
 
 
+def nearest(x, training, k):
+    """The k training indices nearest to one point x, nearest first."""
+    return _neighbor_indices(np.array([x], dtype=float), np.array(training, dtype=float), k)[0].tolist()
+
+
 class TestNeighborSearch:
     def test_nearest_first(self):
-        training = np.array([[3.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-        assert count_neighbors(np.array([0.0, 0.0]), training, 2).tolist() == [1, 2]
+        assert nearest([0.0, 0.0], [[3.0, 0.0], [1.0, 0.0], [2.0, 0.0]], 2) == [1, 2]
 
     def test_tie_goes_to_lower_index(self):
-        training = np.array([[1.0, 0.0], [-1.0, 0.0], [5.0, 5.0]])
-        assert count_neighbors(np.array([0.0, 0.0]), training, 1).tolist() == [0]
-        assert count_neighbors(np.array([0.0, 0.0]), training, 2).tolist() == [0, 1]
+        training = [[1.0, 0.0], [-1.0, 0.0], [5.0, 5.0]]
+        assert nearest([0.0, 0.0], training, 1) == [0]
+        assert nearest([0.0, 0.0], training, 2) == [0, 1]
+
+    def test_tie_after_the_square_root_goes_to_lower_index(self):
+        # row 0's squared distance is one ulp above row 1's, and sqrt merges
+        # the two, so the direct formula sees a tie
+        training = [[np.nextafter(1.0, 2.0), 1.0], [1.0, 1.0], [5.0, 5.0]]
+        assert nearest([0.0, 0.0], training, 2) == [0, 1]
 
     def test_k_must_be_below_training_size(self):
-        training = np.ones((3, 2))
         with pytest.raises(InvalidParameterError):
-            count_neighbors(np.zeros(2), training, 3)
+            nearest([0.0, 0.0], np.ones((3, 2)), 3)
 
     def test_query_on_training_point_finds_itself(self):
-        training = np.array([[0.0, 0.0], [9.0, 9.0], [9.0, -9.0]])
-        assert count_neighbors(np.array([0.0, 0.0]), training, 1).tolist() == [0]
+        assert nearest([0.0, 0.0], [[0.0, 0.0], [9.0, 9.0], [9.0, -9.0]], 1) == [0]
 
-    def test_chunked_search_matches_unchunked(self):
-        # more queries than one processing block, so several blocks run
+    def test_feature_widths_must_agree(self):
+        with pytest.raises(InvalidInputError):
+            _neighbor_indices(np.zeros((2, 3)), np.ones((5, 2)), 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        training = np.arange(10.0).reshape(5, 2)
+        with pytest.raises(InvalidInputError):
+            nearest([bad, 0.0], training, 1)
+        training[3, 1] = bad
+        with pytest.raises(InvalidInputError):
+            nearest([0.0, 0.0], training, 1)
+
+    def test_chunked_search_matches_unchunked(self, monkeypatch):
+        # a 256-query block budget, so the 600 queries run in several blocks
+        monkeypatch.setattr(classifier, "_NEIGHBOR_BLOCK_BYTES", 256 * 40 * 8)
         rng = np.random.default_rng(3)
         training = rng.normal(size=(40, 2))
         queries = rng.normal(size=(600, 2))
@@ -68,6 +94,61 @@ class TestNeighborSearch:
         whole = posterior_ratios(clf, queries)
         parts = np.vstack([posterior_ratios(clf, queries[i : i + 97]) for i in range(0, 600, 97)])
         np.testing.assert_array_equal(whole, parts)
+
+
+class TestNeighborSearchIsExact:
+    """The candidate-and-re-check search returns exactly the neighbours,
+    in exactly the order, of a stable argsort over every distance."""
+
+    @staticmethod
+    def _assert_matches_oracle(queries, training, k):
+        np.testing.assert_array_equal(
+            _neighbor_indices(queries, training, k), stable_argsort_neighbors(queries, training, k)
+        )
+        np.testing.assert_array_equal(
+            _neighbor_indices(training, training, k, exclude_self=True),
+            stable_argsort_neighbors(training, training, k, exclude_self=True),
+        )
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        w=st.integers(min_value=1, max_value=8),
+        m=st.integers(min_value=2, max_value=60),
+        kind=st.sampled_from(["lattice", "offset", "duplicates", "offset-cluster"]),
+        block_bytes=st.sampled_from([1, 200, 4096, 2**23]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_stable_argsort(self, seed, w, m, kind, block_bytes):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        k = int(rng.integers(1, m))
+        if kind in ("lattice", "offset"):
+            # small integer coordinates: many exact ties across the k boundary
+            training = rng.integers(-2, 3, size=(m, w)).astype(float)
+            queries = rng.integers(-2, 3, size=(n, w)).astype(float)
+            if kind == "offset":
+                # a common offset makes |q|^2 + |t|^2 - 2 q.t cancel badly
+                training += 1e4
+                queries += 1e4
+        elif kind == "duplicates":
+            training = rng.normal(size=(m, w))
+            training[rng.integers(0, m, size=m // 2)] = training[rng.integers(0, m, size=m // 2)]
+            queries = training[rng.integers(0, m, size=n)]
+        else:
+            # distinct points 1e-3 apart at 1e4: rounding noise near the gaps
+            training = 1e4 + 1e-3 * rng.normal(size=(m, w))
+            queries = training[rng.integers(0, m, size=n)] + 1e-12 * rng.normal(size=(n, w))
+        # small byte budgets split the queries into many blocks
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classifier, "_NEIGHBOR_BLOCK_BYTES", block_bytes)
+            self._assert_matches_oracle(queries, training, k)
+
+    def test_matches_stable_argsort_on_a_default_session(self):
+        config = SessionConfig()
+        outcome = state_learning(config, RandomSource(20240901))
+        training = outcome.classifier.features
+        testing = extract_batch(outcome.test_received, reference_set_for(config.scheme))
+        self._assert_matches_oracle(testing, training, config.qmlc.k)
 
 
 class TestTraining:
@@ -143,6 +224,26 @@ class TestTraining:
             QmlcParams(k=3, s=0.0)
         with pytest.raises(InvalidParameterError):
             QmlcParams(k=3, t=-1.0)
+
+    @pytest.mark.parametrize("params", [
+        {"k": 9.5},
+        {"k": 9.0},
+        {"k": True},
+        {"k": "9"},
+        {"k": 3, "s": float("inf")},
+        {"k": 3, "s": float("nan")},
+        {"k": 3, "t": -1.0},
+        {"k": 3, "t": float("nan")},
+        {"k": 3, "t": float("inf")},
+        {"k": 3, "t": True},
+    ])
+    def test_non_integer_k_and_non_finite_s_t_rejected(self, params):
+        with pytest.raises(InvalidParameterError):
+            QmlcParams(**params)
+
+    def test_integer_k_of_any_integer_type_is_a_plain_int(self):
+        params = QmlcParams(k=np.int64(9), s=2, t=np.float64(0.5))
+        assert params.k == 9 and type(params.k) is int
 
 
 class TestPrediction:

@@ -65,6 +65,32 @@ class TestConfigLoading:
         assert "not valid JSON" in capsys.readouterr().err
 
 
+class TestClassifierConfig:
+    @pytest.mark.parametrize("k", [9.5, 0.5, True, "9"])
+    def test_non_integer_k_is_a_config_error(self, tmp_path, capsys, k):
+        session = json.loads(json.dumps(QUIET_SESSION))
+        session["classifier"]["k"] = k
+        code = main(["--config", write_config(tmp_path, session), "--out", str(tmp_path), "learn"])
+        assert code == 2
+        assert "classifier.k must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["s", "t"])
+    def test_non_finite_smoothing_or_threshold_is_a_config_error(self, tmp_path, capsys, field):
+        session = json.loads(json.dumps(QUIET_SESSION))
+        session["classifier"][field] = float("inf")
+        code = main(["--config", write_config(tmp_path, session), "--out", str(tmp_path), "learn"])
+        assert code == 2
+        assert "finite positive" in capsys.readouterr().err
+
+    def test_integral_float_k_is_accepted(self, tmp_path):
+        session = json.loads(json.dumps(QUIET_SESSION))
+        session["classifier"]["k"] = 5.0
+        out = tmp_path / "run"
+        assert main(["--config", write_config(tmp_path, session), "--out", str(out), "learn"]) == 0
+        params = json.loads((out / "classifier.json").read_text())["params"]
+        assert params["k"] == 5 and isinstance(params["k"], int)
+
+
 class TestSimulate:
     def test_writes_samples_and_effective_config(self, tmp_path):
         path = write_config(tmp_path, QUIET_SESSION)
@@ -144,6 +170,18 @@ class TestLearnPredict:
         ])
         assert code == 1
         assert "not found" in capsys.readouterr().err
+
+    def test_classifier_of_another_feature_width_is_a_config_error(self, tmp_path, capsys):
+        qpsk = json.loads(json.dumps(QUIET_SESSION))
+        qpsk["scheme"]["kind"] = "qpsk"
+        learned = tmp_path / "qpsk"
+        assert main(["--config", write_config(tmp_path, qpsk, "qpsk.json"), "--out", str(learned), "learn"]) == 0
+        code = main([
+            "--config", write_config(tmp_path, QUIET_SESSION), "--out", str(tmp_path / "run"),
+            "predict", "--classifier", str(learned / "classifier.json"),
+        ])
+        assert code == 2
+        assert "queries have 8 features, the training rows 4" in capsys.readouterr().err
 
     def test_rejected_learning_exits_four(self, tmp_path, capsys):
         noisy = json.loads(json.dumps(QUIET_SESSION))

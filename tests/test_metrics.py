@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mlcvqkd.errors import InvalidInputError
 from mlcvqkd.metrics import average_precision, evaluate, prf, roc_curve
-from oracles import direct_average_precision, mann_whitney_auc
+from oracles import direct_average_precision, loop_average_precision, mann_whitney_auc
 
 
 class TestPrf:
@@ -119,6 +119,22 @@ class TestAveragePrecision:
             assert average_precision(scores, truth) == pytest.approx(
                 direct_average_precision(scores.tolist(), truth.tolist()), rel=1e-12
             )
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=1, max_value=3000),
+        n_labels=st.integers(min_value=1, max_value=12),
+        ties=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_row_loop_exactly(self, seed, n, n_labels, ties):
+        rng = np.random.default_rng(seed)
+        scores = rng.random((n, n_labels)) * 10.0 ** rng.integers(-4, 5, size=(n, n_labels))
+        if ties:
+            scores = rng.integers(0, 3, size=(n, n_labels)) / 2.0
+        truth = rng.random((n, n_labels)) < rng.random()
+        truth[0, 0] = True
+        assert average_precision(scores, truth) == loop_average_precision(scores, truth)
 
 
 class TestRocCurve:
