@@ -13,7 +13,7 @@ cli        : command-line pipeline driver
 """
 
 from .channel import ChannelParams, RandomSource, transmit, transmit_batch, transmittance_from_distance
-from .classifier import Prediction, QmlcParams, TrainedClassifier, decode_state, predict, predict_batch, train
+from .classifier import Prediction, QmlcParams, TrainedClassifier, predict, predict_batch, train
 from .errors import (
     InvalidInputError,
     InvalidParameterError,
@@ -21,7 +21,7 @@ from .errors import (
     MlcvqkdError,
     NumericalDomainError,
 )
-from .features import LabeledSample, ReferenceSet, euclidean, extract, extract_batch, filter_features, reference_set_for
+from .features import ReferenceSet, euclidean, extract, extract_batch, filter_features, reference_set_for
 from .keyrate import (
     KeyRateParams,
     Protocol,
@@ -48,7 +48,6 @@ from .statespace import (
     ModulationScheme,
     PhasePoint,
     build_scheme,
-    decode,
     encode,
     labels_of,
 )

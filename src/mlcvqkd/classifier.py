@@ -9,9 +9,9 @@ ratio
 
     f(x, y_j) = P(H_j) P(C_j | H_j) / [P(not H_j) P(C_j | not H_j)]
 
-exceeds the decision threshold t (default 1, the MAP rule). The predicted
-label set then maps back to a constellation state, or to an erasure when
-no state carries that set.
+exceeds the decision threshold t (default 1, the MAP rule). The scheme's
+decode table then maps the predicted flags back to a constellation
+state, or to an erasure when no state carries that label set.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError
-from .statespace import N_LABELS, ModulationScheme
+from .statespace import ModulationScheme
 
 _NEIGHBOR_BLOCK_BYTES = 8 * 2**20  # size of one query block's Gram matrix
 
@@ -98,17 +98,25 @@ class TrainedClassifier:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TrainedClassifier":
-        if doc.get("format") != "qmlc-classifier" or doc.get("version") != 1:
+        if not isinstance(doc, dict) or doc.get("format") != "qmlc-classifier" or doc.get("version") != 1:
             raise InvalidInputError("not a version-1 classifier document")
-        params = QmlcParams(**doc["params"])
-        return cls(
-            params=params,
-            features=np.asarray(doc["features"], dtype=float),
-            label_flags=np.asarray(doc["label_flags"], dtype=bool),
-            prior_pos=np.asarray(doc["prior_pos"], dtype=float),
-            counts_pos=np.asarray(doc["counts_pos"], dtype=float),
-            counts_neg=np.asarray(doc["counts_neg"], dtype=float),
-        )
+        try:
+            params = QmlcParams(**doc["params"])
+            clf = cls(
+                params=params,
+                features=np.asarray(doc["features"], dtype=float),
+                label_flags=np.asarray(doc["label_flags"], dtype=bool),
+                prior_pos=np.asarray(doc["prior_pos"], dtype=float),
+                counts_pos=np.asarray(doc["counts_pos"], dtype=float),
+                counts_neg=np.asarray(doc["counts_neg"], dtype=float),
+            )
+            m, n_labels = clf.label_flags.shape
+            if (clf.features.ndim != 2 or clf.n_training != m or clf.prior_pos.shape != (n_labels,)
+                    or {clf.counts_pos.shape, clf.counts_neg.shape} != {(n_labels, params.k + 1)}):
+                raise ValueError("its arrays disagree in shape")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidInputError(f"classifier document has a missing or mistyped field: {exc}") from None
+        return clf
 
 
 def _neighbor_indices(queries, training, k, exclude_self=False):
@@ -219,18 +227,6 @@ def predict(clf: TrainedClassifier, x: np.ndarray, scheme: ModulationScheme | No
     """Classify one feature vector; decodes a state when a scheme is given."""
     ratios, flags = predict_batch(clf, np.asarray(x, dtype=float)[None, :])
     labels = frozenset(int(j + 1) for j in np.flatnonzero(flags[0]))
-    decoded = decode_state(labels, scheme) if scheme is not None else None
+    decoded = None if scheme is None else int(scheme.decode(flags)[0]) or None  # 0 is an erasure
     return Prediction(ratios=ratios[0], labels=labels, decoded_state=decoded)
 
-
-def decode_state(labels: frozenset[int], scheme: ModulationScheme) -> int | None:
-    """Map a predicted label set to its constellation state.
-
-    A single label maps to the interior state of that quadrant and an
-    adjacent pair maps to the shared axis state (8PSK). Sets no state
-    carries (empty, non-adjacent pair, three or more labels, or any
-    non-singleton for QPSK) are erasures, returned as None. Erasures are
-    excluded from the shared key and counted separately.
-    """
-    state = scheme.state_for_labels(frozenset(labels))
-    return state.index if state is not None else None

@@ -2,9 +2,9 @@
 
 Subcommands: simulate | learn | predict | evaluate | keyrate | optimize |
 attack-demo. Every run takes a JSON config (--config), an optional master
-seed override (--seed), an output directory (--out), and a format flag.
-The effective configuration, defaults merged in, is written next to the
-results so a run can be reproduced exactly by re-ingesting that file.
+seed override (--seed) and an output directory (--out). The effective
+configuration, defaults merged in, is written next to the results so a
+run can be reproduced exactly by re-ingesting that file.
 
 Determinism: the master seed is split through numpy's SeedSequence spawn
 tree into one child stream per pipeline stage (simulate, learn, predict,
@@ -18,26 +18,25 @@ Exit codes: 0 success, 2 configuration error, 3 numerical-domain error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import dataclasses
 import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import classifier as qmlc
-from .channel import ChannelParams, RandomSource, transmit_batch
+from .channel import ChannelParams, RandomSource, transmittance_from_distance
 from .errors import InvalidInputError, InvalidParameterError, LearningRejectedError, MlcvqkdError
 from .keyrate import KeyRateParams, Protocol, optimize_vm, rate_asymptotic, rate_finite
 from .protocol import (
     SessionConfig,
+    _generate_population,
     format_attack_table,
     intercept_resend_demo,
     state_learning,
     state_prediction,
 )
-from .statespace import ModulationKind, build_scheme
+from .statespace import ModulationKind
 
 # stage index of each subcommand in the master seed's spawn order
 _STAGE = {"simulate": 0, "learn": 1, "predict": 2, "evaluate": 3}
@@ -110,17 +109,19 @@ def _merge(defaults, override, path=""):
     return merged
 
 
+def _read_json(path: str, what: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise InvalidInputError(f"{what} file not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"{what} file {path} is not valid JSON: {exc}") from None
+
+
 def load_config(path: str | None, seed_override: int | None) -> dict:
-    config = DEFAULT_CONFIG
     if path is not None:
-        try:
-            with open(path) as fh:
-                user = json.load(fh)
-        except FileNotFoundError:
-            raise InvalidInputError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"config file {path} is not valid JSON: {exc}") from None
-        config = _merge(DEFAULT_CONFIG, user)
+        config = _merge(DEFAULT_CONFIG, _read_json(path, "config"))
     else:
         config = json.loads(json.dumps(DEFAULT_CONFIG))
     if seed_override is not None:
@@ -129,7 +130,7 @@ def load_config(path: str | None, seed_override: int | None) -> dict:
 
 
 def _stage_rng(config: dict, stage: str) -> RandomSource:
-    master = RandomSource(int(config["seed"]))
+    master = RandomSource(_integer(config["seed"], "seed"))
     return master.split(_N_STAGES)[_STAGE[stage]]
 
 
@@ -142,6 +143,19 @@ def _integer(value, name: str) -> int:
     raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
 
 
+@contextlib.contextmanager
+def _config_values():
+    """Report a config value that cannot become an object (an unknown enum
+    member, null for a number) as invalid input."""
+    try:
+        yield
+    except MlcvqkdError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"invalid config value: {exc}") from None
+
+
+@_config_values()
 def _session_config(config: dict) -> SessionConfig:
     ch = config["channel"]
     return SessionConfig(
@@ -159,9 +173,9 @@ def _session_config(config: dict) -> SessionConfig:
             s=float(config["classifier"]["s"]),
             t=float(config["classifier"]["t"]),
         ),
-        training_size=int(config["session"]["training_size"]),
-        testing_size=int(config["session"]["testing_size"]),
-        prediction_block=int(config["session"]["prediction_block"]),
+        training_size=_integer(config["session"]["training_size"], "session.training_size"),
+        testing_size=_integer(config["session"]["testing_size"], "session.testing_size"),
+        prediction_block=_integer(config["session"]["prediction_block"], "session.prediction_block"),
         rule_id=config["session"]["rule_id"],
         auc_threshold=float(config["session"]["auc_threshold"]),
         filter_quantile=config["session"]["filter_quantile"],
@@ -187,19 +201,16 @@ def _emit_effective_config(config: dict, out_dir: Path) -> None:
     _write_json(out_dir / "effective_config.json", config)
 
 
-def cmd_simulate(config: dict, out_dir: Path, fmt: str) -> int:
-    scheme = build_scheme(config["scheme"]["kind"], float(config["scheme"]["vm"]))
+def cmd_simulate(config: dict, out_dir: Path) -> int:
     session = _session_config(config)
-    population = int(config["simulate"]["population"])
+    population = _integer(config["simulate"]["population"], "simulate.population")
     rng_states, rng_channel = _stage_rng(config, "simulate").split(2)
-
-    drawn = rng_states.integers(0, scheme.n_states, population)
-    points = np.array([[s.point.q, s.point.p] for s in scheme.states])[drawn]
-    received = transmit_batch(points, session.channel, rng_channel)
-
+    indices, _, sent, received = _generate_population(
+        session.scheme, population, session.channel, rng_states, rng_channel
+    )
     rows = [
-        [int(k + 1), float(q), float(p), float(q2), float(p2)]
-        for k, (q, p), (q2, p2) in zip(drawn, points, received)
+        [int(k), float(q), float(p), float(q2), float(p2)]
+        for k, (q, p), (q2, p2) in zip(indices, sent, received)
     ]
     _write_csv(out_dir / "samples.csv", ["true_state", "q_in", "p_in", "q_out", "p_out"], rows)
     _emit_effective_config(config, out_dir)
@@ -207,7 +218,7 @@ def cmd_simulate(config: dict, out_dir: Path, fmt: str) -> int:
     return 0
 
 
-def cmd_learn(config: dict, out_dir: Path, fmt: str) -> int:
+def cmd_learn(config: dict, out_dir: Path) -> int:
     session = _session_config(config)
     outcome = state_learning(session, _stage_rng(config, "learn"))
     _write_json(out_dir / "classifier.json", outcome.classifier.to_json_dict())
@@ -224,16 +235,10 @@ def cmd_learn(config: dict, out_dir: Path, fmt: str) -> int:
     return 0
 
 
-def cmd_predict(config: dict, out_dir: Path, fmt: str, classifier_path: str | None) -> int:
+def cmd_predict(config: dict, out_dir: Path, classifier_path: str | None) -> int:
     if classifier_path is None:
         raise InvalidInputError("predict needs --classifier <classifier.json> from a learn run")
-    try:
-        with open(classifier_path) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        print(f"error: classifier file not found: {classifier_path}", file=sys.stderr)
-        return 1
-    clf = qmlc.TrainedClassifier.from_json_dict(doc)
+    clf = qmlc.TrainedClassifier.from_json_dict(_read_json(classifier_path, "classifier"))
     session = _session_config(config)
     transcript = state_prediction(clf, session, _stage_rng(config, "predict"))
     _write_json(out_dir / "transcript.json", transcript.to_json_dict())
@@ -245,13 +250,12 @@ def cmd_predict(config: dict, out_dir: Path, fmt: str, classifier_path: str | No
     return 0
 
 
-def cmd_evaluate(config: dict, out_dir: Path, fmt: str) -> int:
+def cmd_evaluate(config: dict, out_dir: Path) -> int:
     rows = []
-    grid_rngs_parent = _stage_rng(config, "evaluate")
     vm_grid = list(config["evaluate"]["vm_grid"])
     distance_grid = list(config["evaluate"]["distance_grid"])
     cells = [(vm, d) for vm in vm_grid for d in distance_grid]
-    rngs = grid_rngs_parent.split(len(cells))
+    rngs = _stage_rng(config, "evaluate").split(len(cells))
     for (vm, distance), rng in zip(cells, rngs):
         cell_config = json.loads(json.dumps(config))
         cell_config["scheme"]["vm"] = float(vm)
@@ -278,9 +282,10 @@ def cmd_evaluate(config: dict, out_dir: Path, fmt: str) -> int:
     return 0
 
 
+@_config_values()
 def _keyrate_params(section: dict, vm: float, transmittance: float, protocol: Protocol) -> KeyRateParams:
     finite = bool(section["finite"])
-    big_n = int(section["N"]) if finite else None
+    big_n = _integer(section["N"], "keyrate.N") if finite else None
     n = int(round(section["n_fraction"] * big_n)) if finite else None
     return KeyRateParams(
         vm=vm,
@@ -300,19 +305,20 @@ def _keyrate_params(section: dict, vm: float, transmittance: float, protocol: Pr
     )
 
 
-def cmd_keyrate(config: dict, out_dir: Path, fmt: str) -> int:
-    from .channel import transmittance_from_distance
-
+def cmd_keyrate(config: dict, out_dir: Path) -> int:
     section = config["keyrate"]
-    protocol = Protocol(section["protocol"])
+    with _config_values():
+        protocol = Protocol(section["protocol"])
+        vm = float(section["vm"])
+        distances = [float(d) for d in section["distances_km"]]
     finite = bool(section["finite"])
     rows = []
-    for distance in section["distances_km"]:
-        t = transmittance_from_distance(float(distance))
-        params = _keyrate_params(section, float(section["vm"]), t, protocol)
+    for distance in distances:
+        t = transmittance_from_distance(distance)
+        params = _keyrate_params(section, vm, t, protocol)
         result = rate_finite(params) if finite else rate_asymptotic(params)
         rows.append([
-            float(distance), t, params.vm, result.mutual_information,
+            distance, t, params.vm, result.mutual_information,
             result.holevo_term, result.delta_n if result.delta_n is not None else 0.0,
             result.key_rate, protocol.value,
         ])
@@ -327,18 +333,15 @@ def cmd_keyrate(config: dict, out_dir: Path, fmt: str) -> int:
     return 0
 
 
-def cmd_optimize(config: dict, out_dir: Path, fmt: str) -> int:
+def cmd_optimize(config: dict, out_dir: Path) -> int:
     section = config["optimize"]
-    protocol = Protocol(section["protocol"])
-    krs = config["keyrate"]
-    base = _keyrate_params(krs, vm=1.0, transmittance=0.5, protocol=protocol)
-    results = optimize_vm(
-        protocol,
-        [float(d) for d in section["distances_km"]],
-        base,
-        v_lo=float(section["v_lo"]),
-        v_hi=float(section["v_hi"]),
-    )
+    with _config_values():
+        protocol = Protocol(section["protocol"])
+        distances = [float(d) for d in section["distances_km"]]
+        v_lo = float(section["v_lo"])
+        v_hi = float(section["v_hi"])
+    base = _keyrate_params(config["keyrate"], vm=1.0, transmittance=0.5, protocol=protocol)
+    results = optimize_vm(protocol, distances, base, v_lo=v_lo, v_hi=v_hi)
     rows = [
         [r.distance_km, r.vm, r.key_rate, int(r.no_positive_rate)]
         for r in results
@@ -366,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file; defaults cover every key")
     parser.add_argument("--seed", type=int, help="master seed override")
     parser.add_argument("--out", default=".", help="output directory (created if missing)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv", help="tabular output format")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("simulate", "learn", "evaluate", "keyrate", "optimize", "attack-demo"):
         sub.add_parser(name)
@@ -384,17 +386,17 @@ def main(argv=None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "simulate":
-            return cmd_simulate(config, out_dir, args.format)
+            return cmd_simulate(config, out_dir)
         if args.command == "learn":
-            return cmd_learn(config, out_dir, args.format)
+            return cmd_learn(config, out_dir)
         if args.command == "predict":
-            return cmd_predict(config, out_dir, args.format, args.classifier)
+            return cmd_predict(config, out_dir, args.classifier)
         if args.command == "evaluate":
-            return cmd_evaluate(config, out_dir, args.format)
+            return cmd_evaluate(config, out_dir)
         if args.command == "keyrate":
-            return cmd_keyrate(config, out_dir, args.format)
+            return cmd_keyrate(config, out_dir)
         if args.command == "optimize":
-            return cmd_optimize(config, out_dir, args.format)
+            return cmd_optimize(config, out_dir)
         raise AssertionError(f"unhandled command {args.command}")
     except MlcvqkdError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -41,15 +41,6 @@ def reference_set_for(scheme: ModulationScheme) -> ReferenceSet:
     return ReferenceSet(points=tuple(s.point for s in scheme.states))
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    """A feature vector with its ground-truth label set and state index."""
-
-    features: np.ndarray
-    labels: frozenset[int]
-    true_state: int
-
-
 def euclidean(a: PhasePoint, b: PhasePoint) -> float:
     """Straight-line distance between two phase-space points."""
     return float(np.hypot(a.q - b.q, a.p - b.p))
@@ -109,14 +100,3 @@ def filter_features(features: np.ndarray, threshold: float) -> tuple[np.ndarray,
     idx = np.arange(features.shape[0])
     return idx[~over], idx[over]
 
-
-def to_csv_rows(features: np.ndarray, labels: list[frozenset[int]], states: np.ndarray) -> list[list]:
-    """Rows (d_1..d_w, L1..L4 flags, true_state) for CSV export."""
-    rows = []
-    for f, lab, st in zip(features, labels, states):
-        rows.append(list(map(float, f)) + [int(j in lab) for j in (1, 2, 3, 4)] + [int(st)])
-    return rows
-
-
-def csv_header(w: int) -> list[str]:
-    return [f"d_{j}" for j in range(1, w + 1)] + ["L1", "L2", "L3", "L4", "true_state"]

@@ -96,20 +96,13 @@ class LearningOutcome:
 
 def _generate_population(scheme: ModulationScheme, size: int, channel: ChannelParams,
                          rng_states: RandomSource, rng_channel: RandomSource):
-    """Uniformly drawn states, their points, and the transmitted points."""
-    n_states = scheme.n_states
-    drawn = rng_states.integers(0, n_states, size)
+    """(1-based state indices, label flags, sent points, received points)
+    of uniformly drawn states."""
+    drawn = rng_states.integers(0, scheme.n_states, size)
     state_points = np.array([[s.point.q, s.point.p] for s in scheme.states])
     sent = state_points[drawn]
     received = transmit_batch(sent, channel, rng_channel)
-    # constellation index (1-based) and label flags per sample
-    indices = drawn + 1
-    label_matrix = np.zeros((n_states, 4), dtype=bool)
-    for row, state in enumerate(scheme.states):
-        for lab in state.labels:
-            label_matrix[row, lab - 1] = True
-    flags = label_matrix[drawn]
-    return indices, flags, sent, received
+    return drawn + 1, scheme.label_flags[drawn], sent, received
 
 
 def state_learning(config: SessionConfig, rng: RandomSource) -> LearningOutcome:
@@ -143,8 +136,7 @@ def state_learning(config: SessionConfig, rng: RandomSource) -> LearningOutcome:
 
     clf = qmlc.train(features[train_idx], flags[train_idx], config.qmlc)
     ratios, pred_flags = qmlc.predict_batch(clf, features[test_idx])
-    erased = _erasure_mask(pred_flags, scheme)
-    report = evaluate(ratios, pred_flags, flags[test_idx], erased)
+    report = evaluate(ratios, pred_flags, flags[test_idx], scheme.decode(pred_flags) == 0)
 
     outcome = LearningOutcome(
         classifier=clf,
@@ -161,16 +153,6 @@ def state_learning(config: SessionConfig, rng: RandomSource) -> LearningOutcome:
             report=report,
         )
     return outcome
-
-
-def _erasure_mask(pred_flags: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
-    """True where a predicted flag row maps to no constellation state."""
-    valid_sets = {s.labels for s in scheme.states}
-    out = np.empty(pred_flags.shape[0], dtype=bool)
-    for i, row in enumerate(pred_flags):
-        labels = frozenset(int(j + 1) for j in np.flatnonzero(row))
-        out[i] = labels not in valid_sets
-    return out
 
 
 @dataclass
@@ -236,12 +218,7 @@ def state_prediction(clf: qmlc.TrainedClassifier, config: SessionConfig,
     )
     features = extract_batch(received, refs)
     _, pred_flags = qmlc.predict_batch(clf, features)
-
-    predicted = np.zeros(len(indices), dtype=int)  # 0 marks an erasure
-    for i, row in enumerate(pred_flags):
-        labels = frozenset(int(j + 1) for j in np.flatnonzero(row))
-        state = scheme.state_for_labels(labels)
-        predicted[i] = state.index if state is not None else 0
+    predicted = scheme.decode(pred_flags)  # 0 marks an erasure
 
     kept = predicted > 0
     alice_symbols = [encode(rule, int(k)) for k in indices[kept]]

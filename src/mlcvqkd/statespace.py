@@ -6,6 +6,10 @@ alpha = sqrt(V_m / 2); each state carries the set of quadrant labels
 {L1..L4} of the quadrant(s) whose closure contains it. Bit encoding is a
 per-state lookup table that may be public or private and may assign bit
 strings of different lengths.
+
+Label sets travel as flag rows (L1..L4). A scheme's decode table maps a
+flag row, read as the binary number flags @ (1, 2, 4, 8), to the index
+of the state carrying exactly those labels, or to 0 for an erasure.
 """
 
 from __future__ import annotations
@@ -15,17 +19,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
+import numpy as np
+
 from .errors import InvalidParameterError
 
 N_LABELS = 4
-
-# Adjacent quadrant pairs, the only two-label sets a state on an axis can carry
-ADJACENT_PAIRS = (
-    frozenset({1, 2}),
-    frozenset({2, 3}),
-    frozenset({3, 4}),
-    frozenset({4, 1}),
-)
+_FLAG_WEIGHTS = 1 << np.arange(N_LABELS)  # (1, 2, 4, 8)
 
 
 class ModulationKind(str, Enum):
@@ -96,12 +95,26 @@ _OCTANT_COS_SIN = {
 
 @dataclass(frozen=True)
 class ModulationScheme:
-    """A PSK constellation with amplitude alpha = sqrt(V_m / 2)."""
+    """A PSK constellation with amplitude alpha = sqrt(V_m / 2).
+
+    label_flags is the (n_states, 4) flag matrix of the states' label
+    sets, in state order; decode inverts it.
+    """
 
     kind: ModulationKind
     modulation_variance: float
     alpha: float
     states: tuple[ConstellationState, ...]
+
+    def __post_init__(self):
+        flags = np.zeros((len(self.states), N_LABELS), dtype=bool)
+        for row, s in enumerate(self.states):
+            flags[row, [j - 1 for j in s.labels]] = True
+        table = np.zeros(2**N_LABELS, dtype=int)
+        table[flags @ _FLAG_WEIGHTS] = [s.index for s in self.states]
+        flags.flags.writeable = table.flags.writeable = False
+        object.__setattr__(self, "label_flags", flags)
+        object.__setattr__(self, "_decode_table", table)
 
     @property
     def n_states(self) -> int:
@@ -113,12 +126,15 @@ class ModulationScheme:
                 return s
         raise InvalidParameterError(f"no state with index {index} in {self.kind.value}")
 
-    def state_for_labels(self, labels: frozenset[int]) -> ConstellationState | None:
-        """The unique state carrying exactly this label set, if any."""
-        for s in self.states:
-            if s.labels == labels:
-                return s
-        return None
+    def decode(self, flags: np.ndarray) -> np.ndarray:
+        """State index of each (n, 4) flag row, 0 where no state carries it.
+
+        A single label decodes to the interior state of that quadrant and
+        an adjacent pair to the shared axis state (8PSK). Every other set
+        (empty, non-adjacent pair, three or more labels, any pair for
+        QPSK) is an erasure.
+        """
+        return self._decode_table[np.asarray(flags, dtype=bool) @ _FLAG_WEIGHTS]
 
     def to_json_dict(self) -> dict:
         return {
@@ -151,32 +167,19 @@ def build_scheme(kind: ModulationKind | str, modulation_variance: float) -> Modu
         raise InvalidParameterError(f"modulation variance must be positive, got {modulation_variance}")
     alpha = math.sqrt(modulation_variance / 2.0)
 
+    octants = range(1, 9, 2) if kind is ModulationKind.QPSK else range(1, 9)
     states = []
-    if kind is ModulationKind.QPSK:
-        for k in range(1, 5):
-            octant = 2 * k - 1
-            c, s = _OCTANT_COS_SIN[octant]
-            point = PhasePoint(alpha * c, alpha * s)
-            states.append(
-                ConstellationState(
-                    index=k,
-                    angle=octant * math.pi / 4.0,
-                    point=point,
-                    labels=labels_of(point),
-                )
+    for k, octant in enumerate(octants, start=1):
+        c, s = _OCTANT_COS_SIN[octant]
+        point = PhasePoint(alpha * c, alpha * s)
+        states.append(
+            ConstellationState(
+                index=k,
+                angle=octant * math.pi / 4.0,
+                point=point,
+                labels=labels_of(point),
             )
-    else:
-        for k in range(1, 9):
-            c, s = _OCTANT_COS_SIN[k]
-            point = PhasePoint(alpha * c, alpha * s)
-            states.append(
-                ConstellationState(
-                    index=k,
-                    angle=k * math.pi / 4.0,
-                    point=point,
-                    labels=labels_of(point),
-                )
-            )
+        )
     return ModulationScheme(
         kind=kind,
         modulation_variance=modulation_variance,
@@ -198,12 +201,6 @@ class EncodingRule:
             if not bits or any(c not in "01" for c in bits):
                 raise InvalidParameterError(f"rule {self.rule_id}: state {k} maps to non-bit-string {bits!r}")
 
-    def bits_for(self, index: int) -> str:
-        try:
-            return self.mapping[index]
-        except KeyError:
-            raise InvalidParameterError(f"rule {self.rule_id} has no entry for state index {index}") from None
-
     def to_json_dict(self) -> dict:
         return {
             "rule_id": self.rule_id,
@@ -213,17 +210,16 @@ class EncodingRule:
 
 
 def encode(rule: EncodingRule, index: int) -> str:
-    """Bits Alice publishes into her key for sending state `index`."""
-    return rule.bits_for(index)
+    """Bits written into a key for state `index`.
 
-
-def decode(rule: EncodingRule, index: int) -> str:
-    """Bits a receiver writes down after classifying a state as `index`.
-
-    Encoding and decoding are the same lookup; a mismatch between the
-    encoder's and decoder's rules is what produces divergent keys.
+    Alice encodes the state she sent and Bob the state he decoded with
+    the same lookup; a mismatch between their rules is what produces
+    divergent keys.
     """
-    return rule.bits_for(index)
+    try:
+        return rule.mapping[index]
+    except KeyError:
+        raise InvalidParameterError(f"rule {rule.rule_id} has no entry for state index {index}") from None
 
 
 # The three rules of the changeable-encoding demonstration. Rule 1 is the

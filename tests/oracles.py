@@ -9,7 +9,9 @@ eigenvalues of the key rate. Tests compare package output
 against these implementations (and against values frozen from 50-digit
 evaluations of the same routes). Two more are the package's own earlier
 code, kept where a faster path replaced it and must agree bit for bit:
-the direct neighbour search and the row-loop average precision.
+the direct neighbour search and the row-loop average precision. The
+label-set scan is the package's earlier flags-to-state mapping, kept as
+the reference for the scheme's decode table.
 """
 
 from __future__ import annotations
@@ -267,3 +269,14 @@ def stable_argsort_neighbors(queries, training, k, exclude_self=False):
         order = np.argsort(dist, axis=1, kind="stable")
         out[start:stop] = order[:, :k]
     return out
+
+
+def scan_state_for_flags(scheme, flag_row):
+    """Index of the state whose label set is exactly the row's flagged
+    labels, or 0 when no state carries that set: a linear scan over the
+    states' label sets, the package's original decoder."""
+    labels = frozenset(j + 1 for j, flag in enumerate(flag_row) if flag)
+    for state in scheme.states:
+        if state.labels == labels:
+            return state.index
+    return 0

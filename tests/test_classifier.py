@@ -9,7 +9,6 @@ from mlcvqkd.classifier import (
     QmlcParams,
     TrainedClassifier,
     _neighbor_indices,
-    decode_state,
     posterior_ratios,
     predict,
     predict_batch,
@@ -301,6 +300,14 @@ class TestPrediction:
         assert pred.labels == frozenset({1, 2})
         assert pred.decoded_state == 2
 
+    def test_prediction_of_an_erasure_decodes_to_none(self):
+        points, labelsets = three_cluster_fixture()
+        clf = train(points, flags_from_sets(labelsets), QmlcParams(k=3))
+        pred = predict(clf, np.array([1.05, 0.05]), scheme=build_scheme(ModulationKind.QPSK, 2.0))
+        assert pred.labels == frozenset({1, 2})
+        assert pred.decoded_state is None
+        assert predict(clf, np.array([1.05, 0.05])).decoded_state is None
+
     def test_scaling_all_features_preserves_predictions(self):
         rng = np.random.default_rng(23)
         features = rng.normal(size=(50, 4))
@@ -329,26 +336,23 @@ class TestPrediction:
 
 
 class TestDecodeState:
+    """Predicted label sets through the scheme's decode table; 0 is an erasure."""
+
     def test_singletons_decode_to_quadrant_interiors(self):
         scheme = build_scheme(ModulationKind.PSK8, 2.0)
-        assert decode_state(frozenset({1}), scheme) == 1
-        assert decode_state(frozenset({3}), scheme) == 5
+        assert scheme.decode(flags_from_sets([{1}, {3}])).tolist() == [1, 5]
 
     def test_adjacent_pairs_decode_to_axis_states(self):
         scheme = build_scheme(ModulationKind.PSK8, 2.0)
-        assert decode_state(frozenset({1, 2}), scheme) == 2
-        assert decode_state(frozenset({4, 1}), scheme) == 8
+        assert scheme.decode(flags_from_sets([{1, 2}, {4, 1}])).tolist() == [2, 8]
 
     def test_invalid_sets_are_erasures(self):
         scheme = build_scheme(ModulationKind.PSK8, 2.0)
-        assert decode_state(frozenset(), scheme) is None
-        assert decode_state(frozenset({1, 3}), scheme) is None
-        assert decode_state(frozenset({1, 2, 3}), scheme) is None
+        assert scheme.decode(flags_from_sets([set(), {1, 3}, {1, 2, 3}])).tolist() == [0, 0, 0]
 
     def test_qpsk_only_accepts_singletons(self):
         scheme = build_scheme(ModulationKind.QPSK, 2.0)
-        assert decode_state(frozenset({2}), scheme) == 2
-        assert decode_state(frozenset({1, 2}), scheme) is None
+        assert scheme.decode(flags_from_sets([{2}, {1, 2}])).tolist() == [2, 0]
 
 
 class TestSerialization:
@@ -365,6 +369,28 @@ class TestSerialization:
     def test_foreign_document_rejected(self):
         with pytest.raises(InvalidInputError):
             TrainedClassifier.from_json_dict({"format": "something-else"})
+
+    @pytest.mark.parametrize("field, value", [
+        ("params", None),
+        ("params", {"k": 3, "x": 1}),
+        ("params", {"k": 3.5}),
+        ("features", "abc"),
+        ("features", [1.0, 2.0]),
+        ("label_flags", [[1, 0], [0]]),
+        ("label_flags", [[1, 0, 0, 0]]),
+        ("prior_pos", [0.5]),
+        ("counts_pos", [1.0, 2.0]),
+        ("counts_neg", [[1.0] * 5] * 4),
+    ])
+    def test_missing_or_mistyped_field_rejected(self, field, value):
+        points, labelsets = three_cluster_fixture()
+        doc = train(points, flags_from_sets(labelsets), QmlcParams(k=3)).to_json_dict()
+        del doc[field]
+        with pytest.raises(InvalidInputError, match="missing or mistyped field"):
+            TrainedClassifier.from_json_dict(doc)
+        doc[field] = value
+        with pytest.raises(InvalidInputError, match="missing or mistyped field"):
+            TrainedClassifier.from_json_dict(doc)
 
 
 class TestAgainstBruteForce:

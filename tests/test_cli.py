@@ -1,12 +1,15 @@
 import csv
+import inspect
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from mlcvqkd.cli import DEFAULT_CONFIG, load_config, main
-from mlcvqkd.keyrate import KeyRateParams, Protocol, rate_asymptotic
+from mlcvqkd.cli import DEFAULT_CONFIG, _keyrate_params, _session_config, _stage_rng, load_config, main
+from mlcvqkd.keyrate import KeyRateParams, Protocol, optimize_vm, rate_asymptotic
+from mlcvqkd.protocol import SessionConfig, _generate_population
 
 QUIET_SESSION = {
     "seed": 7,
@@ -27,6 +30,17 @@ def write_config(tmp_path, override, name="config.json"):
 def read_csv(path):
     with open(path) as fh:
         return list(csv.reader(fh))
+
+
+def with_value(key, value, base=QUIET_SESSION):
+    """A copy of base with the dotted config key set to value."""
+    config = json.loads(json.dumps(base))
+    *sections, name = key.split(".")
+    node = config
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[name] = value
+    return config
 
 
 class TestConfigLoading:
@@ -63,6 +77,87 @@ class TestConfigLoading:
         code = main(["--config", str(bad), "--out", str(tmp_path), "simulate"])
         assert code == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    def test_format_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["--format", "csv", "--out", str(tmp_path), "simulate"])
+        assert exc.value.code == 2
+
+
+class TestDefaultsAgree:
+    """DEFAULT_CONFIG and the dataclass defaults describe the same run."""
+
+    def test_session_defaults(self):
+        assert _session_config(load_config(None, None)) == SessionConfig()
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_keyrate_defaults(self, protocol):
+        got = _keyrate_params(DEFAULT_CONFIG["keyrate"], 0.35, 0.4, protocol)
+        assert got == KeyRateParams(vm=0.35, transmittance=0.4, protocol=protocol)
+
+    def test_optimize_bounds(self):
+        defaults = inspect.signature(optimize_vm).parameters
+        for name in ("v_lo", "v_hi"):
+            assert DEFAULT_CONFIG["optimize"][name] == defaults[name].default
+
+
+# dotted key, an integer value that runs, the command that reads the key
+INTEGER_KEYS = [
+    ("seed", 7, "simulate"),
+    ("session.training_size", 300, "simulate"),
+    ("session.testing_size", 300, "simulate"),
+    ("session.prediction_block", 200, "simulate"),
+    ("simulate.population", 50, "simulate"),
+    ("keyrate.N", 1_000_000, "keyrate"),
+]
+
+
+def integer_config(key, value):
+    """The quiet session with key set, and a finite-size keyrate section,
+    the only one that reads keyrate.N."""
+    config = with_value(key, value)
+    config["keyrate"] = {**config.get("keyrate", {}), "finite": True, "distances_km": [10]}
+    return config
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("key, value, command", INTEGER_KEYS)
+    @pytest.mark.parametrize("bad", ["fraction", "bool"])
+    def test_non_integer_is_a_config_error(self, tmp_path, capsys, key, value, command, bad):
+        config = integer_config(key, value + 0.7 if bad == "fraction" else True)
+        code = main(["--config", write_config(tmp_path, config), "--out", str(tmp_path), command])
+        assert code == 2
+        assert f"{key} must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, command", INTEGER_KEYS)
+    def test_integral_float_runs_as_the_integer(self, tmp_path, key, value, command):
+        written = {"simulate": "samples.csv", "keyrate": "keyrate.csv"}[command]
+        outputs, sessions = [], []
+        for given in (value, float(value)):
+            path = write_config(tmp_path, integer_config(key, given))
+            out = tmp_path / repr(given)
+            assert main(["--config", path, "--out", str(out), command]) == 0
+            outputs.append((out / written).read_bytes())
+            sessions.append(_session_config(load_config(path, None)))
+        assert outputs[0] == outputs[1]
+        assert sessions[0] == sessions[1]
+        for name in ("training_size", "testing_size", "prediction_block"):
+            assert type(getattr(sessions[1], name)) is int
+
+    @pytest.mark.parametrize("key, value, command", [
+        ("scheme.kind", "16qam", "learn"),
+        ("keyrate.protocol", "bb84", "keyrate"),
+        ("optimize.protocol", "bb84", "optimize"),
+        ("channel.excess_noise", None, "simulate"),
+        ("keyrate.excess_noise", None, "keyrate"),
+        ("keyrate.distances_km", [10, None], "keyrate"),
+        ("optimize.v_lo", None, "optimize"),
+    ])
+    def test_unknown_member_or_null_is_a_config_error(self, tmp_path, capsys, key, value, command):
+        config = with_value(key, value)
+        code = main(["--config", write_config(tmp_path, config), "--out", str(tmp_path), command])
+        assert code == 2
+        assert "invalid config value" in capsys.readouterr().err
 
 
 class TestClassifierConfig:
@@ -129,6 +224,19 @@ class TestSimulate:
         assert (replay / "samples.csv").read_bytes() == (first / "samples.csv").read_bytes()
         assert (replay / "effective_config.json").read_text() == (first / "effective_config.json").read_text()
 
+    def test_rows_are_the_generated_population(self, tmp_path):
+        path = write_config(tmp_path, QUIET_SESSION)
+        assert main(["--config", path, "--out", str(tmp_path), "simulate"]) == 0
+        config = load_config(path, None)
+        session = _session_config(config)
+        indices, _, sent, received = _generate_population(
+            session.scheme, 50, session.channel, *_stage_rng(config, "simulate").split(2)
+        )
+        rows = np.array(read_csv(tmp_path / "samples.csv")[1:], dtype=float)
+        np.testing.assert_array_equal(rows[:, 0], indices)
+        np.testing.assert_array_equal(rows[:, 1:3], sent)
+        np.testing.assert_array_equal(rows[:, 3:], received)
+
 
 class TestLearnPredict:
     def test_learn_then_predict_round_trip(self, tmp_path, capsys):
@@ -168,8 +276,23 @@ class TestLearnPredict:
             "--config", path, "--out", str(tmp_path),
             "predict", "--classifier", str(tmp_path / "gone.json"),
         ])
-        assert code == 1
-        assert "not found" in capsys.readouterr().err
+        assert code == 2
+        assert "classifier file not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "is not valid JSON"),
+        ('{"format": "qmlc-classifier", "version": 1}', "missing or mistyped field: 'params'"),
+        ('[1, 2]', "not a version-1 classifier document"),
+    ])
+    def test_unreadable_classifier_file_is_a_config_error(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "classifier.json"
+        bad.write_text(text)
+        code = main([
+            "--config", write_config(tmp_path, QUIET_SESSION), "--out", str(tmp_path),
+            "predict", "--classifier", str(bad),
+        ])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_classifier_of_another_feature_width_is_a_config_error(self, tmp_path, capsys):
         qpsk = json.loads(json.dumps(QUIET_SESSION))

@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 from mlcvqkd.errors import InvalidInputError, InvalidParameterError
 from mlcvqkd.features import (
     ReferenceSet,
-    csv_header,
     euclidean,
     extract,
     extract_batch,
     filter_features,
     reference_set_for,
     resolve_threshold,
-    to_csv_rows,
 )
 from mlcvqkd.statespace import ModulationKind, PhasePoint, build_scheme
 
@@ -170,12 +168,3 @@ class TestFilter:
         assert discarded_again.size == 0
         assert kept_again.tolist() == list(range(len(kept)))
 
-
-class TestCsvExport:
-    def test_header_matches_width(self):
-        assert csv_header(2) == ["d_1", "d_2", "L1", "L2", "L3", "L4", "true_state"]
-
-    def test_rows_carry_flags_and_state(self):
-        features = np.array([[0.5, 1.5]])
-        rows = to_csv_rows(features, [frozenset({1, 2})], np.array([2]))
-        assert rows == [[0.5, 1.5, 1, 1, 0, 0, 2]]

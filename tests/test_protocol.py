@@ -7,7 +7,6 @@ from mlcvqkd.errors import InvalidParameterError, LearningRejectedError
 from mlcvqkd.protocol import (
     DEMO_SENT_STATES,
     SessionConfig,
-    _erasure_mask,
     _generate_population,
     format_attack_table,
     intercept_resend_demo,
@@ -103,6 +102,8 @@ class TestGeneratePopulation:
 
 
 class TestErasureMask:
+    """Erasures are the flag rows the scheme's decode table maps to 0."""
+
     def test_valid_and_invalid_rows(self):
         scheme = build_scheme(ModulationKind.PSK8, 2.0)
         rows = np.array([
@@ -112,12 +113,12 @@ class TestErasureMask:
             [1, 0, 1, 0],  # opposite quadrants: erased
             [1, 1, 1, 0],  # three labels: erased
         ], dtype=bool)
-        np.testing.assert_array_equal(_erasure_mask(rows, scheme), [False, False, True, True, True])
+        np.testing.assert_array_equal(scheme.decode(rows) == 0, [False, False, True, True, True])
 
     def test_qpsk_rejects_pairs(self):
         scheme = build_scheme(ModulationKind.QPSK, 2.0)
         rows = np.array([[1, 0, 0, 0], [1, 1, 0, 0]], dtype=bool)
-        np.testing.assert_array_equal(_erasure_mask(rows, scheme), [False, True])
+        np.testing.assert_array_equal(scheme.decode(rows) == 0, [False, True])
 
 
 class TestStateLearning:

@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from mlcvqkd.errors import InvalidParameterError
@@ -10,10 +12,10 @@ from mlcvqkd.statespace import (
     PhasePoint,
     RuleVisibility,
     build_scheme,
-    decode,
     encode,
     labels_of,
 )
+from oracles import scan_state_for_flags
 
 
 class TestBuildScheme:
@@ -69,6 +71,39 @@ class TestBuildScheme:
         assert len(doc["states"]) == 8
         assert doc["states"][1]["labels"] == [1, 2]
 
+    def test_scheme_stays_frozen_and_hashable(self):
+        scheme = build_scheme(ModulationKind.PSK8, 2.0)
+        assert hash(scheme) == hash(build_scheme(ModulationKind.PSK8, 2.0))
+        assert scheme == build_scheme(ModulationKind.PSK8, 2.0)
+        with pytest.raises(AttributeError):
+            scheme.alpha = 2.0
+        with pytest.raises(ValueError):
+            scheme.label_flags[0, 0] = False
+
+
+class TestDecodeTable:
+    @pytest.mark.parametrize("kind", list(ModulationKind))
+    def test_matches_the_label_set_scan_on_every_flag_pattern(self, kind):
+        scheme = build_scheme(kind, 2.0)
+        patterns = np.array(list(itertools.product([False, True], repeat=4)))
+        assert len(patterns) == 16
+        want = [scan_state_for_flags(scheme, row) for row in patterns]
+        assert scheme.decode(patterns).tolist() == want
+        assert sorted(set(want)) == list(range(scheme.n_states + 1))
+
+    @pytest.mark.parametrize("kind", list(ModulationKind))
+    def test_label_flags_are_the_label_sets_in_state_order(self, kind):
+        scheme = build_scheme(kind, 2.0)
+        assert scheme.label_flags.shape == (scheme.n_states, 4)
+        for state, row in zip(scheme.states, scheme.label_flags):
+            assert {j + 1 for j in np.flatnonzero(row)} == state.labels
+        assert scheme.decode(scheme.label_flags).tolist() == [s.index for s in scheme.states]
+
+    def test_empty_batch_and_single_row(self):
+        scheme = build_scheme(ModulationKind.QPSK, 2.0)
+        assert scheme.decode(np.zeros((0, 4), dtype=bool)).shape == (0,)
+        assert scheme.decode(np.array([0, 0, 1, 0], dtype=bool)) == 3
+
 
 class TestLabelsOf:
     def test_first_quadrant_interior(self):
@@ -102,11 +137,6 @@ class TestEncodingRules:
 
     def test_variable_length_rule_lookup(self):
         assert encode(NAMED_RULES["rule3"], 2) == "10101"
-
-    def test_encode_decode_identity(self):
-        for rule in NAMED_RULES.values():
-            for k in range(1, 9):
-                assert decode(rule, k) == encode(rule, k)
 
     def test_unknown_state_index_rejected(self):
         with pytest.raises(InvalidParameterError):
