@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -27,7 +28,7 @@ from pathlib import Path
 from . import classifier as qmlc
 from .channel import ChannelParams, RandomSource, transmittance_from_distance
 from .errors import InvalidInputError, InvalidParameterError, LearningRejectedError, MlcvqkdError
-from .keyrate import KeyRateParams, Protocol, optimize_vm, rate_asymptotic, rate_finite
+from .keyrate import KeyRateParams, Protocol, covariance_z, optimize_vm, rate_asymptotic, rate_finite
 from .protocol import (
     SessionConfig,
     _generate_population,
@@ -155,6 +156,10 @@ def _config_values():
         raise InvalidInputError(f"invalid config value: {exc}") from None
 
 
+def _optional_float(value) -> float | None:
+    return None if value is None else float(value)
+
+
 @_config_values()
 def _session_config(config: dict) -> SessionConfig:
     ch = config["channel"]
@@ -178,8 +183,8 @@ def _session_config(config: dict) -> SessionConfig:
         prediction_block=_integer(config["session"]["prediction_block"], "session.prediction_block"),
         rule_id=config["session"]["rule_id"],
         auc_threshold=float(config["session"]["auc_threshold"]),
-        filter_quantile=config["session"]["filter_quantile"],
-        filter_threshold=config["session"]["filter_threshold"],
+        filter_quantile=_optional_float(config["session"]["filter_quantile"]),
+        filter_threshold=_optional_float(config["session"]["filter_threshold"]),
     )
 
 
@@ -252,14 +257,15 @@ def cmd_predict(config: dict, out_dir: Path, classifier_path: str | None) -> int
 
 def cmd_evaluate(config: dict, out_dir: Path) -> int:
     rows = []
-    vm_grid = list(config["evaluate"]["vm_grid"])
-    distance_grid = list(config["evaluate"]["distance_grid"])
+    with _config_values():
+        vm_grid = [float(vm) for vm in config["evaluate"]["vm_grid"]]
+        distance_grid = [float(d) for d in config["evaluate"]["distance_grid"]]
     cells = [(vm, d) for vm in vm_grid for d in distance_grid]
     rngs = _stage_rng(config, "evaluate").split(len(cells))
     for (vm, distance), rng in zip(cells, rngs):
         cell_config = json.loads(json.dumps(config))
-        cell_config["scheme"]["vm"] = float(vm)
-        cell_config["channel"]["distance_km"] = float(distance)
+        cell_config["scheme"]["vm"] = vm
+        cell_config["channel"]["distance_km"] = distance
         session = _session_config(cell_config)
         try:
             outcome = state_learning(session, rng)
@@ -267,7 +273,7 @@ def cmd_evaluate(config: dict, out_dir: Path) -> int:
         except LearningRejectedError as exc:
             report = exc.report
         rows.append([
-            float(vm), float(distance),
+            vm, distance,
             report.macro_precision, report.macro_recall, report.macro_fpr,
             report.average_precision, report.average_auc, report.erasure_rate,
         ])
@@ -311,12 +317,16 @@ def cmd_keyrate(config: dict, out_dir: Path) -> int:
         protocol = Protocol(section["protocol"])
         vm = float(section["vm"])
         distances = [float(d) for d in section["distances_km"]]
-    finite = bool(section["finite"])
+    rate_of = rate_finite if section["finite"] else rate_asymptotic
+    # the section is converted and Z computed once per table; rows differ in T only
+    fields = dataclasses.asdict(_keyrate_params(section, vm, 1.0, protocol))
+    del fields["transmittance"]
+    z = covariance_z(protocol, vm)
     rows = []
     for distance in distances:
         t = transmittance_from_distance(distance)
-        params = _keyrate_params(section, vm, t, protocol)
-        result = rate_finite(params) if finite else rate_asymptotic(params)
+        params = KeyRateParams(transmittance=t, **fields)
+        result = rate_of(params, z)
         rows.append([
             distance, t, params.vm, result.mutual_information,
             result.holevo_term, result.delta_n if result.delta_n is not None else 0.0,

@@ -102,12 +102,15 @@ class KeyRateParams:
     ml_eve_term: float = 0.0
 
     def __post_init__(self):
-        if not self.vm > 0:
-            raise InvalidParameterError(f"modulation variance must be positive, got {self.vm}")
+        if not 0 < self.vm < math.inf:
+            raise InvalidParameterError(f"modulation variance must be finite and positive, got {self.vm}")
         if not 0 < self.transmittance <= 1:
             raise InvalidParameterError(f"transmittance must be in (0, 1], got {self.transmittance}")
-        if self.excess_noise < 0 or self.v_el < 0:
-            raise InvalidParameterError("noise terms must be nonnegative")
+        if not (math.isfinite(self.excess_noise) and math.isfinite(self.v_el)) \
+                or self.excess_noise < 0 or self.v_el < 0:
+            raise InvalidParameterError(
+                f"noise terms must be finite and nonnegative, got excess_noise={self.excess_noise}, "
+                f"v_el={self.v_el}")
         for name, value in (("eta", self.eta), ("beta", self.beta), ("lam", self.lam)):
             if not 0 < value <= 1:
                 raise InvalidParameterError(f"{name} must be in (0, 1], got {value}")
@@ -119,6 +122,8 @@ class KeyRateParams:
         if self.n is not None:
             if self.n <= 0 or self.big_n <= 0 or self.n > self.big_n:
                 raise InvalidParameterError(f"need 0 < n <= N, got n={self.n}, N={self.big_n}")
+        if not math.isfinite(self.ml_eve_term):
+            raise InvalidParameterError(f"ml_eve_term must be finite, got {self.ml_eve_term}")
 
     @property
     def v(self) -> float:
@@ -167,7 +172,8 @@ def entropy_g(x: float) -> float:
 
 def mutual_information(params: KeyRateParams) -> float:
     """Heterodyne Gaussian mutual information log2[(V+chi_tot)/(1+chi_tot)]."""
-    return math.log2((params.v + params.chi_tot) / (1.0 + params.chi_tot))
+    chi_tot = params.chi_tot
+    return math.log2((params.v + chi_tot) / (1.0 + chi_tot))
 
 
 # below this the closed forms subtract near-equal terms and can return
@@ -248,7 +254,8 @@ def covariance_z(protocol: Protocol, vm: float) -> float:
 def symplectic_eigenvalues(params: KeyRateParams, z: float) -> tuple[float, float, float, float, float]:
     """(lambda_1..lambda_5) of the pre- and post-measurement covariances."""
     v, t = params.v, params.transmittance
-    chi_line, chi_het, chi_tot = params.chi_line, params.chi_het, params.chi_tot
+    chi_line, chi_het = params.chi_line, params.chi_het
+    chi_tot = chi_line + chi_het / t  # the chi_tot property, without re-reading its terms
 
     a = v * v + t * t * (v + chi_line) ** 2 - 2.0 * t * z * z
     b = (t * (v * v + v * chi_line - z * z)) ** 2
@@ -273,16 +280,20 @@ def _eig_pair(s: float, p: float, which: str) -> tuple[float, float]:
         else:
             raise NumericalDomainError(f"negative discriminant for {which}", s=s, p=p, discriminant=disc)
     root = math.sqrt(disc)
-    out = []
-    for sign in (+1.0, -1.0):
-        sq = (s + sign * root) / 2.0
-        if sq < 0:
-            raise NumericalDomainError(f"negative squared eigenvalue for {which}", s=s, p=p, value=sq)
-        lam = math.sqrt(sq)
-        if lam < 1.0 - _LAMBDA_TOLERANCE:
-            raise NumericalDomainError(f"unphysical {which} below 1", **{"lambda": lam, "s": s, "p": p})
-        out.append(max(lam, 1.0))
-    return tuple(out)
+    # the + root eigenvalue is checked before the - root one, which fixes the error a bad pair raises
+    sq = (s + root) / 2.0
+    if sq < 0:
+        raise NumericalDomainError(f"negative squared eigenvalue for {which}", s=s, p=p, value=sq)
+    lam_plus = math.sqrt(sq)
+    if lam_plus < 1.0 - _LAMBDA_TOLERANCE:
+        raise NumericalDomainError(f"unphysical {which} below 1", **{"lambda": lam_plus, "s": s, "p": p})
+    sq = (s - root) / 2.0
+    if sq < 0:
+        raise NumericalDomainError(f"negative squared eigenvalue for {which}", s=s, p=p, value=sq)
+    lam_minus = math.sqrt(sq)
+    if lam_minus < 1.0 - _LAMBDA_TOLERANCE:
+        raise NumericalDomainError(f"unphysical {which} below 1", **{"lambda": lam_minus, "s": s, "p": p})
+    return max(lam_plus, 1.0), max(lam_minus, 1.0)
 
 
 def holevo_chi_be(params: KeyRateParams, z: float | None = None) -> tuple[float, float, tuple[float, ...]]:
@@ -304,24 +315,28 @@ def delta_n(params: KeyRateParams) -> float:
     return (2 * DIM_HB + 3) * math.sqrt(math.log2(2.0 / params.eps_bar) / n) + (2.0 / n) * math.log2(1.0 / params.eps_pa)
 
 
-def rate_asymptotic(params: KeyRateParams) -> RateResult:
-    """K = beta I - chi_BE, or beta Lambda I - chi_E for the ML protocol."""
+def rate_asymptotic(params: KeyRateParams, z: float | None = None) -> RateResult:
+    """K = beta I - chi_BE, or beta Lambda I - chi_E for the ML protocol.
+
+    z, when given, must be covariance_z(params.protocol, params.vm); callers
+    evaluating many points at one V_m pass it to skip recomputing it.
+    """
     i_ab = mutual_information(params)
     if params.protocol is Protocol.ML:
         key = params.beta * params.lam * i_ab - params.ml_eve_term
         return RateResult(params.protocol, key, i_ab, params.ml_eve_term)
-    chi, z, lams = holevo_chi_be(params)
+    chi, z, lams = holevo_chi_be(params, z)
     key = params.beta * i_ab - chi
     return RateResult(params.protocol, key, i_ab, chi, correlation_z=z, lambdas=lams)
 
 
-def rate_finite(params: KeyRateParams) -> RateResult:
+def rate_finite(params: KeyRateParams, z: float | None = None) -> RateResult:
     """Finite-size rate (n/N) [beta I - chi - Delta(n)].
 
     The traditional protocols charge chi_BE evaluated at the nominal
     channel parameters (an optimistic bound: no confidence-interval
     widening of T and xi); the ML protocol charges the pluggable
-    eavesdropper term and scales I by Lambda.
+    eavesdropper term and scales I by Lambda. z is as in rate_asymptotic.
     """
     d = delta_n(params)
     ratio = params.n / params.big_n
@@ -329,7 +344,7 @@ def rate_finite(params: KeyRateParams) -> RateResult:
     if params.protocol is Protocol.ML:
         key = ratio * (params.beta * params.lam * i_ab - params.ml_eve_term - d)
         return RateResult(params.protocol, key, i_ab, params.ml_eve_term, delta_n=d)
-    chi, z, lams = holevo_chi_be(params)
+    chi, z, lams = holevo_chi_be(params, z)
     key = ratio * (params.beta * i_ab - chi - d)
     return RateResult(params.protocol, key, i_ab, chi, delta_n=d, correlation_z=z, lambdas=lams)
 
@@ -370,21 +385,30 @@ def optimize_vm(protocol: Protocol, distances_km, params: KeyRateParams,
     (the rate surface is near-flat around it at long distance), then
     golden-section search refines within the bracketing grid interval to
     xtol. Distances where even the best rate is nonpositive are flagged.
+    Z depends on V_m alone, so the grid's Z values are computed once for
+    all distances.
     """
-    if not 0 < v_lo < v_hi:
-        raise InvalidParameterError(f"need 0 < v_lo < v_hi, got [{v_lo}, {v_hi}]")
+    if not (math.isfinite(v_lo) and math.isfinite(v_hi) and 0 < v_lo < v_hi):
+        raise InvalidParameterError(f"need finite 0 < v_lo < v_hi, got [{v_lo}, {v_hi}]")
+    if not (math.isfinite(xtol) and xtol > 0):
+        raise InvalidParameterError(f"xtol must be finite and positive, got {xtol}")
+    if not coarse_points >= 2:
+        raise InvalidParameterError(f"coarse_points must be at least 2, got {coarse_points}")
     rate_of = rate_finite if finite else rate_asymptotic
 
     results = []
     grid = np.geomspace(v_lo, v_hi, coarse_points)
+    grid_z = [covariance_z(protocol, v) for v in grid]
+    fields = dataclasses.asdict(params)
+    del fields["vm"]
     for distance in distances_km:
-        t = transmittance_from_distance(distance)
+        # points are constructed (and so validated) directly: dataclasses.replace costs about as much as the rate
+        point = {**fields, "transmittance": transmittance_from_distance(distance), "protocol": protocol}
 
-        def rate(vm: float) -> float:
-            p = dataclasses.replace(params, vm=vm, transmittance=t, protocol=protocol)
-            return rate_of(p).key_rate
+        def rate(vm: float, z: float | None = None) -> float:
+            return rate_of(KeyRateParams(vm=vm, **point), z).key_rate
 
-        coarse = [rate(v) for v in grid]
+        coarse = [rate(v, z) for v, z in zip(grid, grid_z)]
         best = int(np.argmax(coarse))
         lo = grid[max(best - 1, 0)]
         hi = grid[min(best + 1, len(grid) - 1)]

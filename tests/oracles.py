@@ -11,14 +11,23 @@ evaluations of the same routes). Two more are the package's own earlier
 code, kept where a faster path replaced it and must agree bit for bit:
 the direct neighbour search and the row-loop average precision. The
 label-set scan is the package's earlier flags-to-state mapping, kept as
-the reference for the scheme's decode table.
+the reference for the scheme's decode table. The per-point optimal-V_m
+search and the per-row key-rate table are the key-rate loops that
+recomputed Z and rebuilt the parameters for every point, kept as the
+reference for the loops that compute both once per V_m.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
+
+from mlcvqkd.channel import transmittance_from_distance
+from mlcvqkd.cli import _config_values, _keyrate_params
+from mlcvqkd.errors import InvalidParameterError
+from mlcvqkd.keyrate import OptimalVariance, Protocol, _golden_section_max, rate_asymptotic, rate_finite
 
 
 class BruteForceMultiLabelKnn:
@@ -280,3 +289,57 @@ def scan_state_for_flags(scheme, flag_row):
         if state.labels == labels:
             return state.index
     return 0
+
+
+def per_point_optimize_vm(protocol, distances_km, params, v_lo=0.05, v_hi=20.0,
+                          coarse_points=32, xtol=0.01, finite=False):
+    """The optimal-V_m search with one dataclasses.replace and a fresh Z
+    per rate point: the package's earlier optimize_vm, kept verbatim."""
+    if not 0 < v_lo < v_hi:
+        raise InvalidParameterError(f"need 0 < v_lo < v_hi, got [{v_lo}, {v_hi}]")
+    rate_of = rate_finite if finite else rate_asymptotic
+
+    results = []
+    grid = np.geomspace(v_lo, v_hi, coarse_points)
+    for distance in distances_km:
+        t = transmittance_from_distance(distance)
+
+        def rate(vm: float) -> float:
+            p = dataclasses.replace(params, vm=vm, transmittance=t, protocol=protocol)
+            return rate_of(p).key_rate
+
+        coarse = [rate(v) for v in grid]
+        best = int(np.argmax(coarse))
+        lo = grid[max(best - 1, 0)]
+        hi = grid[min(best + 1, len(grid) - 1)]
+        vm_opt = _golden_section_max(rate, lo, hi, xtol)
+        key = rate(vm_opt)
+        results.append(OptimalVariance(
+            distance_km=float(distance),
+            vm=float(vm_opt),
+            key_rate=float(key),
+            no_positive_rate=bool(key <= 0.0),
+        ))
+    return results
+
+
+def per_row_keyrate_rows(section):
+    """The rows of a keyrate table with the section converted and Z
+    computed again for every distance: the package's earlier cmd_keyrate
+    loop, kept verbatim."""
+    with _config_values():
+        protocol = Protocol(section["protocol"])
+        vm = float(section["vm"])
+        distances = [float(d) for d in section["distances_km"]]
+    finite = bool(section["finite"])
+    rows = []
+    for distance in distances:
+        t = transmittance_from_distance(distance)
+        params = _keyrate_params(section, vm, t, protocol)
+        result = rate_finite(params) if finite else rate_asymptotic(params)
+        rows.append([
+            distance, t, params.vm, result.mutual_information,
+            result.holevo_term, result.delta_n if result.delta_n is not None else 0.0,
+            result.key_rate, protocol.value,
+        ])
+    return rows

@@ -7,9 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from mlcvqkd.cli import DEFAULT_CONFIG, _keyrate_params, _session_config, _stage_rng, load_config, main
+from mlcvqkd.cli import DEFAULT_CONFIG, _keyrate_params, _session_config, _stage_rng, _write_csv, load_config, main
 from mlcvqkd.keyrate import KeyRateParams, Protocol, optimize_vm, rate_asymptotic
 from mlcvqkd.protocol import SessionConfig, _generate_population
+from oracles import per_row_keyrate_rows
 
 QUIET_SESSION = {
     "seed": 7,
@@ -152,6 +153,10 @@ class TestConfigValues:
         ("keyrate.excess_noise", None, "keyrate"),
         ("keyrate.distances_km", [10, None], "keyrate"),
         ("optimize.v_lo", None, "optimize"),
+        ("evaluate.vm_grid", [None], "evaluate"),
+        ("evaluate.distance_grid", [10.0, "far"], "evaluate"),
+        ("session.filter_quantile", "abc", "learn"),
+        ("session.filter_threshold", "abc", "learn"),
     ])
     def test_unknown_member_or_null_is_a_config_error(self, tmp_path, capsys, key, value, command):
         config = with_value(key, value)
@@ -176,6 +181,14 @@ class TestClassifierConfig:
         code = main(["--config", write_config(tmp_path, session), "--out", str(tmp_path), "learn"])
         assert code == 2
         assert "finite positive" in capsys.readouterr().err
+
+    def test_null_quantile_with_a_threshold_runs(self, tmp_path):
+        session = with_value("session.filter_threshold", 1e6)
+        session["session"]["filter_quantile"] = None
+        out = tmp_path / "run"
+        assert main(["--config", write_config(tmp_path, session), "--out", str(out), "learn"]) == 0
+        report = json.loads((out / "evaluation.json").read_text())
+        assert report["filter_threshold"] == 1e6 and report["discard_rate"] == 0.0
 
     def test_integral_float_k_is_accepted(self, tmp_path):
         session = json.loads(json.dumps(QUIET_SESSION))
@@ -371,6 +384,34 @@ class TestKeyrate:
         assert code == 2
         assert "nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("excess_noise", float("nan"), "finite"), ("v_el", float("inf"), "finite"),
+        ("ml_eve_term", float("nan"), "finite"), ("vm", float("inf"), "finite"),
+        ("excess_noise", -0.5, "nonnegative"),
+    ])
+    def test_bad_value_is_a_config_error_even_without_distances(self, tmp_path, capsys, key, value,
+                                                                 message):
+        # the section is converted once per table, before the first row
+        override = {"keyrate": {"protocol": "ml", "distances_km": [], key: value}}
+        code = main(["--config", write_config(tmp_path, override), "--out", str(tmp_path), "keyrate"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("finite", [False, True])
+    @pytest.mark.parametrize("protocol", [p.value for p in Protocol])
+    def test_table_equals_the_per_row_loop(self, tmp_path, protocol, finite):
+        section = {**DEFAULT_CONFIG["keyrate"], "protocol": protocol, "finite": finite,
+                   "distances_km": list(range(0, 151))}
+        out = tmp_path / "run"
+        assert main(["--config", write_config(tmp_path, {"keyrate": section}), "--out", str(out),
+                     "keyrate"]) == 0
+        got = (out / "keyrate.csv").read_bytes()
+        want = per_row_keyrate_rows(section)
+        _write_csv(tmp_path / "want.csv", got.decode().splitlines()[0].split(","), want)
+        assert got == (tmp_path / "want.csv").read_bytes()
+        if finite:  # the finite-size rows cross the positivity edge inside 150 km
+            assert min(row[6] for row in want) <= 0 < max(row[6] for row in want)
+
 
 class TestOptimize:
     def test_optimal_vm_table(self, tmp_path):
@@ -383,6 +424,15 @@ class TestOptimize:
         assert len(rows) == 2
         assert float(rows[1][2]) > 0
         assert rows[1][3] == "0"
+
+    @pytest.mark.parametrize("key, value", [
+        ("v_hi", "Infinity"), ("v_hi", float("inf")), ("v_lo", float("nan")),
+    ])
+    def test_non_finite_bound_is_a_config_error(self, tmp_path, capsys, key, value):
+        override = {"optimize": {"distances_km": [50], key: value}}
+        code = main(["--config", write_config(tmp_path, override), "--out", str(tmp_path), "optimize"])
+        assert code == 2
+        assert "finite 0 < v_lo < v_hi" in capsys.readouterr().err
 
 
 class TestAttackDemo:

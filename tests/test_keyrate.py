@@ -23,7 +23,12 @@ from mlcvqkd.keyrate import (
     rate_finite,
     symplectic_eigenvalues,
 )
-from oracles import constellation_weights_series, correlation_from_weights, covariance_matrix_rate
+from oracles import (
+    constellation_weights_series,
+    correlation_from_weights,
+    covariance_matrix_rate,
+    per_point_optimize_vm,
+)
 
 # values frozen from 50-digit evaluations of the same formulas; the
 # double-precision implementation reproduced each to ~1e-15 relative
@@ -143,6 +148,13 @@ class TestNoiseDecomposition:
             KeyRateParams(vm=1.0, transmittance=0.5, n=100)  # missing big_n
         with pytest.raises(InvalidParameterError):
             KeyRateParams(vm=1.0, transmittance=0.5, n=200, big_n=100)
+
+    @pytest.mark.parametrize("field", ["vm", "excess_noise", "v_el", "ml_eve_term"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, field, value):
+        # each of these once gave a NaN key rate or a math domain error
+        with pytest.raises(InvalidParameterError, match="finite"):
+            KeyRateParams(**{"vm": 1.0, "transmittance": 0.5, "protocol": Protocol.ML, field: value})
 
 
 class TestMutualInformation:
@@ -420,3 +432,51 @@ class TestOptimizeVm:
         params = KeyRateParams(vm=1.0, transmittance=0.5)
         with pytest.raises(InvalidParameterError):
             optimize_vm(Protocol.EIGHT_STATE, [10.0], params, v_lo=2.0, v_hi=1.0)
+        # an infinite bound was a math domain error, xtol = 0 never returned,
+        # and fewer than two grid points was a numpy error
+        for bad in ({"v_hi": math.inf}, {"v_hi": math.nan}, {"v_lo": math.nan}, {"v_lo": -math.inf},
+                    {"xtol": 0.0}, {"xtol": -0.01}, {"xtol": math.nan}, {"xtol": math.inf},
+                    {"coarse_points": 1}, {"coarse_points": 0}):
+            with pytest.raises(InvalidParameterError):
+                optimize_vm(Protocol.EIGHT_STATE, [10.0], params, **bad)
+
+
+FINITE_BLOCK = {"n": 500_000, "big_n": 1_000_000}
+
+
+class TestZOncePerVm:
+    """Passing Z in, or computing it once per V_m, changes no bit of a rate."""
+
+    @pytest.mark.parametrize("finite", [False, True])
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_optimize_vm_equals_the_per_point_search(self, protocol, finite):
+        params = KeyRateParams(vm=1.0, transmittance=0.5, **(FINITE_BLOCK if finite else {}))
+        distances = range(0, 151)
+        got = optimize_vm(protocol, distances, params, finite=finite)
+        assert got == per_point_optimize_vm(protocol, distances, params, finite=finite)
+        if finite:  # the finite-size rows cross the positivity edge inside 150 km
+            assert {r.no_positive_rate for r in got} == {False, True}
+
+    @given(
+        protocol=st.sampled_from(list(Protocol)),
+        vm=st.floats(min_value=1e-3, max_value=100.0),
+        transmittance=st.floats(min_value=1e-5, max_value=1.0),
+        excess_noise=st.floats(min_value=0.0, max_value=0.3),
+        eta=st.floats(min_value=0.05, max_value=1.0),
+        v_el=st.floats(min_value=0.0, max_value=0.5),
+        block=st.one_of(st.none(), st.integers(min_value=1, max_value=10**9)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_given_z_changes_no_bit(self, protocol, vm, transmittance, excess_noise, eta, v_el, block):
+        finite = {} if block is None else {"n": max(block // 2, 1), "big_n": block}
+        p = KeyRateParams(vm=vm, transmittance=transmittance, excess_noise=excess_noise, eta=eta,
+                          v_el=v_el, protocol=protocol, **finite)
+        rate_of = rate_asymptotic if block is None else rate_finite
+
+        def outcome(*args):
+            try:
+                return rate_of(p, *args)
+            except NumericalDomainError as exc:
+                return type(exc), str(exc), exc.values
+
+        assert outcome(covariance_z(protocol, vm)) == outcome()
