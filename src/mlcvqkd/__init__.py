@@ -12,8 +12,8 @@ protocol   : state learning, state prediction, intercept-resend demo
 cli        : command-line pipeline driver
 """
 
-from .channel import ChannelParams, RandomSource, transmit, transmit_batch, transmittance_from_distance
-from .classifier import Prediction, QmlcParams, TrainedClassifier, predict, predict_batch, train
+from .channel import ChannelParams, RandomSource, transmit_batch, transmittance_from_distance
+from .classifier import QmlcParams, TrainedClassifier, predict_batch, train
 from .errors import (
     InvalidInputError,
     InvalidParameterError,
@@ -21,7 +21,7 @@ from .errors import (
     MlcvqkdError,
     NumericalDomainError,
 )
-from .features import ReferenceSet, euclidean, extract, extract_batch, filter_features, reference_set_for
+from .features import ReferenceSet, extract_batch, filter_features, reference_set_for
 from .keyrate import (
     KeyRateParams,
     Protocol,

@@ -15,12 +15,11 @@ RandomSource so every simulation is reproducible from its seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .statespace import PhasePoint
 
 DEFAULT_LOSS_DB_PER_KM = 0.2
 DEFAULT_SHOT_NOISE = 1.0
@@ -103,6 +102,9 @@ class ChannelParams:
     drift_halfwidth: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise InvalidParameterError(f"channel {f.name} must be finite, got {getattr(self, f.name)}")
         if self.excess_noise < 0:
             raise InvalidParameterError(f"excess noise must be nonnegative, got {self.excess_noise}")
         if self.shot_noise <= 0:
@@ -120,22 +122,6 @@ class ChannelParams:
     def noise_variance(self) -> float:
         """Per-quadrature variance N0 + T*xi of the additive noise."""
         return self.shot_noise + self.transmittance * self.excess_noise
-
-    def to_json_dict(self) -> dict:
-        return {
-            "distance_km": self.distance_km,
-            "loss_db_per_km": self.loss_db_per_km,
-            "excess_noise": self.excess_noise,
-            "phase_drift_rad": self.phase_drift,
-            "shot_noise": self.shot_noise,
-            "drift_halfwidth_rad": self.drift_halfwidth,
-        }
-
-
-def transmit(point: PhasePoint, params: ChannelParams, rng: RandomSource) -> PhasePoint:
-    """Send one phase-space point through the channel."""
-    out = transmit_batch(np.array([[point.q, point.p]]), params, rng)
-    return PhasePoint(float(out[0, 0]), float(out[0, 1]))
 
 
 def transmit_batch(points: np.ndarray, params: ChannelParams, rng: RandomSource) -> np.ndarray:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError
-from .statespace import ModulationScheme
 
 _NEIGHBOR_BLOCK_BYTES = 8 * 2**20  # size of one query block's Gram matrix
 
@@ -45,19 +44,6 @@ class QmlcParams:
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                     or not math.isfinite(value) or value <= 0):
                 raise InvalidParameterError(f"{what} must be a finite positive number, got {value!r}")
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """Per-label posterior ratios, thresholded label set, decoded state.
-
-    decoded_state is None for an erasure (a label set no constellation
-    state carries).
-    """
-
-    ratios: np.ndarray
-    labels: frozenset[int]
-    decoded_state: int | None
 
 
 class TrainedClassifier:
@@ -221,12 +207,3 @@ def predict_batch(clf: TrainedClassifier, queries: np.ndarray) -> tuple[np.ndarr
     """(ratios (n, l), flags (n, l)) with flags = ratios > t."""
     ratios = posterior_ratios(clf, queries)
     return ratios, ratios > clf.params.t
-
-
-def predict(clf: TrainedClassifier, x: np.ndarray, scheme: ModulationScheme | None = None) -> Prediction:
-    """Classify one feature vector; decodes a state when a scheme is given."""
-    ratios, flags = predict_batch(clf, np.asarray(x, dtype=float)[None, :])
-    labels = frozenset(int(j + 1) for j in np.flatnonzero(flags[0]))
-    decoded = None if scheme is None else int(scheme.decode(flags)[0]) or None  # 0 is an erasure
-    return Prediction(ratios=ratios[0], labels=labels, decoded_state=decoded)
-

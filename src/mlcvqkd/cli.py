@@ -21,8 +21,12 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
+import inspect
 import json
 import sys
+import typing
+from enum import Enum
 from pathlib import Path
 
 from . import classifier as qmlc
@@ -37,55 +41,53 @@ from .protocol import (
     state_learning,
     state_prediction,
 )
-from .statespace import ModulationKind
 
 # stage index of each subcommand in the master seed's spawn order
 _STAGE = {"simulate": 0, "learn": 1, "predict": 2, "evaluate": 3}
 _N_STAGES = 4
 
+# config key -> dataclass field, where the two names differ
+_FIELD_NAMES = {"phase_drift_rad": "phase_drift"}
+
+
+def _defaults(values: dict, keys: str) -> dict:
+    """Config entries for the space-separated keys, valued from a dataclass's
+    field values; an enum member is written as its value."""
+    entries = {}
+    for key in keys.split():
+        value = values[_FIELD_NAMES.get(key, key)]
+        entries[key] = value.value if isinstance(value, Enum) else value
+    return entries
+
+
+_SESSION = dataclasses.asdict(SessionConfig())
+_KEYRATE = {f.name: f.default for f in dataclasses.fields(KeyRateParams)}
+_OPTIMIZE = {name: p.default for name, p in inspect.signature(optimize_vm).parameters.items()}
+
+# Every value a dataclass field or optimize_vm also has comes from there;
+# the literals are the commands' own inputs.
 DEFAULT_CONFIG = {
     "seed": 20240901,
-    "scheme": {"kind": "8psk", "vm": 50.0},
-    "channel": {
-        "distance_km": 20.0,
-        "loss_db_per_km": 0.2,
-        "excess_noise": 0.01,
-        "phase_drift_rad": 0.0,
-        "shot_noise": 1.0,
-    },
-    "classifier": {"k": 9, "s": 1.0, "t": 1.0},
-    "session": {
-        "training_size": 5000,
-        "testing_size": 10_000,
-        "prediction_block": 10_000,
-        "rule_id": "rule2",
-        "auc_threshold": 0.9,
-        "filter_quantile": 0.995,
-        "filter_threshold": None,
-    },
+    "scheme": _defaults(_SESSION, "kind vm"),
+    "channel": _defaults(_SESSION["channel"], "distance_km loss_db_per_km excess_noise phase_drift_rad shot_noise"),
+    "classifier": _defaults(_SESSION["qmlc"], "k s t"),
+    "session": _defaults(_SESSION, "training_size testing_size prediction_block rule_id auc_threshold "
+                                   "filter_quantile filter_threshold"),
     "simulate": {"population": 10_000},
     "keyrate": {
-        "protocol": "eight-state",
+        **_defaults(_KEYRATE, "protocol"),
         "vm": 0.35,
         "distances_km": [0, 5, 10, 20, 40, 60, 80, 100],
-        "excess_noise": 0.01,
-        "eta": 0.6,
-        "v_el": 0.05,
-        "beta": 0.98,
-        "lam": 0.927,
+        **_defaults(_KEYRATE, "excess_noise eta v_el beta lam"),
         "finite": False,
         "N": 1_000_000,
         "n_fraction": 0.5,
-        "eps_bar": 1e-10,
-        "eps_pe": 1e-10,
-        "eps_pa": 1e-10,
-        "ml_eve_term": 0.0,
+        **_defaults(_KEYRATE, "eps_bar eps_pe eps_pa ml_eve_term"),
     },
     "optimize": {
         "protocol": "eight-state",
         "distances_km": [20, 40, 60, 80, 100],
-        "v_lo": 0.05,
-        "v_hi": 20.0,
+        **_defaults(_OPTIMIZE, "v_lo v_hi"),
     },
     "evaluate": {
         "vm_grid": [30.0, 50.0],
@@ -152,39 +154,44 @@ def _config_values():
         yield
     except MlcvqkdError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"invalid config value: {exc}") from None
 
 
-def _optional_float(value) -> float | None:
-    return None if value is None else float(value)
+@functools.cache
+def _field_types(cls) -> dict:
+    return typing.get_type_hints(cls)
+
+
+def _convert(tp, value, name: str):
+    """A config value as a field of type tp: int through _integer, T | None
+    passes null, and float, str and enums through the type itself."""
+    if typing.get_args(tp):  # T | None
+        if value is None:
+            return None
+        tp = typing.get_args(tp)[0]
+    return _integer(value, name) if tp is int else tp(value)
+
+
+def _from_sections(cls, sections: dict, **given):
+    """An instance of the dataclass cls. Each entry of the named config
+    sections that sets a field not in `given` is converted by that field's
+    type; entries that set no field are the commands' own inputs."""
+    types = _field_types(cls)
+    for section_name, section in sections.items():
+        for key, value in section.items():
+            name = _FIELD_NAMES.get(key, key)
+            if name in types and name not in given:
+                given[name] = _convert(types[name], value, f"{section_name}.{key}")
+    return cls(**given)
 
 
 @_config_values()
 def _session_config(config: dict) -> SessionConfig:
-    ch = config["channel"]
-    return SessionConfig(
-        kind=ModulationKind(config["scheme"]["kind"]),
-        vm=float(config["scheme"]["vm"]),
-        channel=ChannelParams(
-            distance_km=float(ch["distance_km"]),
-            loss_db_per_km=float(ch["loss_db_per_km"]),
-            excess_noise=float(ch["excess_noise"]),
-            phase_drift=float(ch["phase_drift_rad"]),
-            shot_noise=float(ch["shot_noise"]),
-        ),
-        qmlc=qmlc.QmlcParams(
-            k=_integer(config["classifier"]["k"], "classifier.k"),
-            s=float(config["classifier"]["s"]),
-            t=float(config["classifier"]["t"]),
-        ),
-        training_size=_integer(config["session"]["training_size"], "session.training_size"),
-        testing_size=_integer(config["session"]["testing_size"], "session.testing_size"),
-        prediction_block=_integer(config["session"]["prediction_block"], "session.prediction_block"),
-        rule_id=config["session"]["rule_id"],
-        auc_threshold=float(config["session"]["auc_threshold"]),
-        filter_quantile=_optional_float(config["session"]["filter_quantile"]),
-        filter_threshold=_optional_float(config["session"]["filter_threshold"]),
+    return _from_sections(
+        SessionConfig, {"scheme": config["scheme"], "session": config["session"]},
+        channel=_from_sections(ChannelParams, {"channel": config["channel"]}),
+        qmlc=_from_sections(qmlc.QmlcParams, {"classifier": config["classifier"]}),
     )
 
 
@@ -209,6 +216,8 @@ def _emit_effective_config(config: dict, out_dir: Path) -> None:
 def cmd_simulate(config: dict, out_dir: Path) -> int:
     session = _session_config(config)
     population = _integer(config["simulate"]["population"], "simulate.population")
+    if population < 0:
+        raise InvalidParameterError(f"simulate.population must be nonnegative, got {population}")
     rng_states, rng_channel = _stage_rng(config, "simulate").split(2)
     indices, _, sent, received = _generate_population(
         session.scheme, population, session.channel, rng_states, rng_channel
@@ -288,27 +297,18 @@ def cmd_evaluate(config: dict, out_dir: Path) -> int:
     return 0
 
 
+def _finite(section: dict) -> bool:
+    if not isinstance(section["finite"], bool):
+        raise InvalidParameterError(f"keyrate.finite must be true or false, got {section['finite']!r}")
+    return section["finite"]
+
+
 @_config_values()
 def _keyrate_params(section: dict, vm: float, transmittance: float, protocol: Protocol) -> KeyRateParams:
-    finite = bool(section["finite"])
-    big_n = _integer(section["N"], "keyrate.N") if finite else None
-    n = int(round(section["n_fraction"] * big_n)) if finite else None
-    return KeyRateParams(
-        vm=vm,
-        transmittance=transmittance,
-        excess_noise=float(section["excess_noise"]),
-        eta=float(section["eta"]),
-        v_el=float(section["v_el"]),
-        beta=float(section["beta"]),
-        lam=float(section["lam"]),
-        protocol=protocol,
-        n=n,
-        big_n=big_n,
-        eps_bar=float(section["eps_bar"]),
-        eps_pe=float(section["eps_pe"]),
-        eps_pa=float(section["eps_pa"]),
-        ml_eve_term=float(section["ml_eve_term"]),
-    )
+    big_n = _integer(section["N"], "keyrate.N") if _finite(section) else None
+    n = int(round(section["n_fraction"] * big_n)) if big_n is not None else None
+    return _from_sections(KeyRateParams, {"keyrate": section}, vm=vm, transmittance=transmittance,
+                          protocol=protocol, n=n, big_n=big_n)
 
 
 def cmd_keyrate(config: dict, out_dir: Path) -> int:
@@ -317,7 +317,7 @@ def cmd_keyrate(config: dict, out_dir: Path) -> int:
         protocol = Protocol(section["protocol"])
         vm = float(section["vm"])
         distances = [float(d) for d in section["distances_km"]]
-    rate_of = rate_finite if section["finite"] else rate_asymptotic
+    rate_of = rate_finite if _finite(section) else rate_asymptotic
     # the section is converted and Z computed once per table; rows differ in T only
     fields = dataclasses.asdict(_keyrate_params(section, vm, 1.0, protocol))
     del fields["transmittance"]
@@ -351,7 +351,7 @@ def cmd_optimize(config: dict, out_dir: Path) -> int:
         v_lo = float(section["v_lo"])
         v_hi = float(section["v_hi"])
     base = _keyrate_params(config["keyrate"], vm=1.0, transmittance=0.5, protocol=protocol)
-    results = optimize_vm(protocol, distances, base, v_lo=v_lo, v_hi=v_hi)
+    results = optimize_vm(protocol, distances, base, v_lo=v_lo, v_hi=v_hi, finite=_finite(config["keyrate"]))
     rows = [
         [r.distance_km, r.vm, r.key_rate, int(r.no_positive_rate)]
         for r in results

@@ -41,16 +41,6 @@ def reference_set_for(scheme: ModulationScheme) -> ReferenceSet:
     return ReferenceSet(points=tuple(s.point for s in scheme.states))
 
 
-def euclidean(a: PhasePoint, b: PhasePoint) -> float:
-    """Straight-line distance between two phase-space points."""
-    return float(np.hypot(a.q - b.q, a.p - b.p))
-
-
-def extract(point: PhasePoint, refs: ReferenceSet) -> np.ndarray:
-    """Feature vector d_j = euclidean(point, refs[j]), in reference order."""
-    return extract_batch(np.array([[point.q, point.p]]), refs)[0]
-
-
 def extract_batch(points: np.ndarray, refs: ReferenceSet) -> np.ndarray:
     """Feature vectors for an (n, 2) array of points; returns (n, w)."""
     points = np.asarray(points, dtype=float)

@@ -45,6 +45,7 @@ from .errors import InvalidParameterError, NumericalDomainError
 
 DIM_HB = 2
 _LAMBDA_TOLERANCE = 1e-9
+_GOLDEN_STEPS = 3100  # log(1.8e308 / 5e-324) / log(1 / 0.618): about 3020 steps
 
 
 class Protocol(str, Enum):
@@ -158,6 +159,12 @@ class RateResult:
     correlation_z: float | None = None
     lambdas: tuple[float, ...] | None = None
 
+    def __post_init__(self):
+        # finite inputs near the float limits (eta near 0, V_m near 1e308) can still end in inf or NaN
+        if not math.isfinite(self.key_rate):
+            raise NumericalDomainError("key rate is not finite", key_rate=self.key_rate,
+                                       mutual_information=self.mutual_information, holevo_term=self.holevo_term)
+
 
 def entropy_g(x: float) -> float:
     """G(x) = (x+1) log2(x+1) - x log2(x), continuously extended to G(0) = 0."""
@@ -241,7 +248,10 @@ def covariance_z(protocol: Protocol, vm: float) -> float:
         v = vm + 1.0
         return math.sqrt(v * v - 1.0)
     a2 = vm / 2.0
-    weights = _weights_four(a2) if protocol is Protocol.FOUR_STATE else _weights_eight(a2)
+    try:
+        weights = _weights_four(a2) if protocol is Protocol.FOUR_STATE else _weights_eight(a2)
+    except OverflowError:  # cosh and sinh of a2 overflow above V_m of about 1420
+        raise NumericalDomainError("constellation weights overflow", vm=vm) from None
     if min(weights) <= 0.0:
         raise NumericalDomainError("constellation weight not positive", vm=vm, weights=tuple(weights))
     total = 0.0
@@ -300,7 +310,11 @@ def holevo_chi_be(params: KeyRateParams, z: float | None = None) -> tuple[float,
     """Holevo bound chi_BE; returns (chi, z, lambdas)."""
     if z is None:
         z = covariance_z(params.protocol, params.vm)
-    lams = symplectic_eigenvalues(params, z)
+    try:
+        lams = symplectic_eigenvalues(params, z)
+    except OverflowError:  # a power of a covariance term past the float range
+        raise NumericalDomainError("covariance terms overflow", vm=params.vm, transmittance=params.transmittance,
+                                   chi_tot=params.chi_tot) from None
     chi = (entropy_g((lams[0] - 1.0) / 2.0) + entropy_g((lams[1] - 1.0) / 2.0)
            - entropy_g((lams[2] - 1.0) / 2.0) - entropy_g((lams[3] - 1.0) / 2.0)
            - entropy_g((lams[4] - 1.0) / 2.0))
@@ -358,13 +372,21 @@ class OptimalVariance:
 
 
 def _golden_section_max(f, lo: float, hi: float, xtol: float) -> float:
-    """Argmax of a unimodal f on [lo, hi] to within xtol."""
+    """Argmax of a unimodal f on [lo, hi] to within xtol.
+
+    An xtol below the float resolution of the bracket cannot be met: the
+    ends stop moving once they are adjacent floats. The search therefore
+    also stops after _GOLDEN_STEPS steps; each step keeps 0.618 of the
+    bracket, so by then any bracket has shrunk to its resolution.
+    """
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > xtol:
+    for _ in range(_GOLDEN_STEPS):
+        if b - a <= xtol:
+            break
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)

@@ -15,6 +15,7 @@ rule she believes is active.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +52,17 @@ class SessionConfig:
     filter_threshold: float | None = None
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "kind", ModulationKind(self.kind))
+        except ValueError:
+            raise InvalidParameterError(f"unknown modulation kind {self.kind!r}") from None
+        if not 0 < self.vm < math.inf:
+            raise InvalidParameterError(f"modulation variance must be finite and positive, got {self.vm}")
+        for name in ("training_size", "testing_size", "prediction_block"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.training_size <= self.qmlc.k:
             raise InvalidParameterError(
                 f"training size {self.training_size} must exceed k={self.qmlc.k}"

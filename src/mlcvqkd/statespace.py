@@ -136,23 +136,6 @@ class ModulationScheme:
         """
         return self._decode_table[np.asarray(flags, dtype=bool) @ _FLAG_WEIGHTS]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "modulation_variance": self.modulation_variance,
-            "alpha": self.alpha,
-            "states": [
-                {
-                    "index": s.index,
-                    "angle": s.angle,
-                    "q": s.point.q,
-                    "p": s.point.p,
-                    "labels": sorted(s.labels),
-                }
-                for s in self.states
-            ],
-        }
-
 
 def build_scheme(kind: ModulationKind | str, modulation_variance: float) -> ModulationScheme:
     """Build a QPSK or 8PSK constellation for the given modulation variance.
@@ -200,13 +183,6 @@ class EncodingRule:
         for k, bits in self.mapping.items():
             if not bits or any(c not in "01" for c in bits):
                 raise InvalidParameterError(f"rule {self.rule_id}: state {k} maps to non-bit-string {bits!r}")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rule_id": self.rule_id,
-            "visibility": self.visibility.value,
-            "mapping": {str(k): v for k, v in sorted(self.mapping.items())},
-        }
 
 
 def encode(rule: EncodingRule, index: int) -> str:

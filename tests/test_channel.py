@@ -6,12 +6,11 @@ import pytest
 from mlcvqkd.channel import (
     ChannelParams,
     RandomSource,
-    transmit,
     transmit_batch,
     transmittance_from_distance,
 )
 from mlcvqkd.errors import InvalidParameterError
-from mlcvqkd.statespace import PhasePoint, build_scheme
+from mlcvqkd.statespace import build_scheme
 from oracles import bayes_optimal_labels
 
 QUIET = 1e-18  # effectively noiseless but keeps the variance positive
@@ -53,10 +52,13 @@ class TestChannelParams:
         with pytest.raises(InvalidParameterError):
             ChannelParams(distance_km=10.0, shot_noise=0.0)
 
-    def test_json_round_trippable_fields(self):
-        doc = ChannelParams(distance_km=20.0, excess_noise=0.01, phase_drift=0.3).to_json_dict()
-        assert doc["distance_km"] == 20.0
-        assert doc["phase_drift_rad"] == 0.3
+    @pytest.mark.parametrize("field", [
+        "distance_km", "excess_noise", "phase_drift", "loss_db_per_km", "shot_noise", "drift_halfwidth",
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_value_rejected(self, field, value):
+        with pytest.raises(InvalidParameterError, match=f"channel {field} must be finite"):
+            ChannelParams(**{"distance_km": 1.0, field: value})
 
 
 class TestDeterminism:
@@ -92,29 +94,29 @@ class TestDeterminism:
 class TestTransmitGeometry:
     def test_identity_channel_preserves_point(self):
         params = ChannelParams(distance_km=0.0, shot_noise=QUIET)
-        out = transmit(PhasePoint(1.25, -0.5), params, RandomSource(0))
-        assert out.q == pytest.approx(1.25, abs=1e-6)
-        assert out.p == pytest.approx(-0.5, abs=1e-6)
+        (q, p), = transmit_batch(np.array([[1.25, -0.5]]), params, RandomSource(0))
+        assert q == pytest.approx(1.25, abs=1e-6)
+        assert p == pytest.approx(-0.5, abs=1e-6)
 
     def test_quarter_turn_maps_p_axis_to_q_axis(self):
         # phi0 = pi/2: (0, 1) -> (1, 0) up to attenuation
         params = ChannelParams(distance_km=0.0, phase_drift=math.pi / 2, shot_noise=QUIET)
-        out = transmit(PhasePoint(0.0, 1.0), params, RandomSource(0))
-        assert out.q == pytest.approx(1.0, abs=1e-6)
-        assert out.p == pytest.approx(0.0, abs=1e-6)
+        (q, p), = transmit_batch(np.array([[0.0, 1.0]]), params, RandomSource(0))
+        assert q == pytest.approx(1.0, abs=1e-6)
+        assert p == pytest.approx(0.0, abs=1e-6)
 
     def test_rotation_is_clockwise_for_positive_drift(self):
         params = ChannelParams(distance_km=0.0, phase_drift=0.1, shot_noise=QUIET)
-        out = transmit(PhasePoint(1.0, 0.0), params, RandomSource(0))
-        assert out.q == pytest.approx(math.cos(0.1), abs=1e-6)
-        assert out.p == pytest.approx(-math.sin(0.1), abs=1e-6)
+        (q, p), = transmit_batch(np.array([[1.0, 0.0]]), params, RandomSource(0))
+        assert q == pytest.approx(math.cos(0.1), abs=1e-6)
+        assert p == pytest.approx(-math.sin(0.1), abs=1e-6)
 
     @pytest.mark.parametrize("phi", [0.0, 0.7, math.pi / 2, 2.5])
     def test_amplitude_contracts_by_root_transmittance(self, phi):
         params = ChannelParams(distance_km=30.0, phase_drift=phi, shot_noise=QUIET)
-        out = transmit(PhasePoint(3.0, 4.0), params, RandomSource(7))
+        (q, p), = transmit_batch(np.array([[3.0, 4.0]]), params, RandomSource(7))
         expected = 5.0 * math.sqrt(params.transmittance)
-        assert math.hypot(out.q, out.p) == pytest.approx(expected, rel=1e-9)
+        assert math.hypot(q, p) == pytest.approx(expected, rel=1e-9)
 
     def test_empty_batch_keeps_shape(self):
         params = ChannelParams(distance_km=10.0)

@@ -10,7 +10,6 @@ from mlcvqkd.classifier import (
     TrainedClassifier,
     _neighbor_indices,
     posterior_ratios,
-    predict,
     predict_batch,
     train,
 )
@@ -19,6 +18,10 @@ from mlcvqkd.features import extract_batch, reference_set_for
 from mlcvqkd.protocol import SessionConfig, state_learning
 from mlcvqkd.statespace import ModulationKind, build_scheme
 from oracles import BruteForceMultiLabelKnn, stable_argsort_neighbors
+
+
+def label_set(flag_row):
+    return frozenset(int(j + 1) for j in np.flatnonzero(flag_row))
 
 
 def flags_from_sets(labelsets, n_labels=4):
@@ -270,9 +273,8 @@ class TestPrediction:
     def test_each_cluster_center_recovers_its_label_set(self):
         points, labelsets = three_cluster_fixture()
         clf = train(points, flags_from_sets(labelsets), QmlcParams(k=3))
-        assert predict(clf, np.array([0.05, 0.05])).labels == frozenset({1})
-        assert predict(clf, np.array([1.05, 0.05])).labels == frozenset({1, 2})
-        assert predict(clf, np.array([2.05, 0.05])).labels == frozenset({2})
+        _, flags = predict_batch(clf, np.array([[0.05, 0.05], [1.05, 0.05], [2.05, 0.05]]))
+        assert [label_set(row) for row in flags] == [{1}, {1, 2}, {2}]
 
     def test_wider_neighborhood_matches_reference(self):
         # k spanning beyond one cluster changes every count table; the
@@ -280,33 +282,33 @@ class TestPrediction:
         points, labelsets = three_cluster_fixture()
         clf = train(points, flags_from_sets(labelsets), QmlcParams(k=7))
         oracle = BruteForceMultiLabelKnn(points, labelsets, 7)
-        for query in ([0.5, 0.0], [1.5, 0.05], [0.05, 0.05], [3.0, -1.0]):
-            got = predict(clf, np.array(query))
+        queries = [[0.5, 0.0], [1.5, 0.05], [0.05, 0.05], [3.0, -1.0]]
+        ratios, flags = predict_batch(clf, np.array(queries))
+        for query, ratio_row, flag_row in zip(queries, ratios, flags):
             want_ratios, want_labels = oracle.predict(query)
-            assert got.labels == frozenset(want_labels)
+            assert label_set(flag_row) == frozenset(want_labels)
             for j in range(1, 5):
-                assert got.ratios[j - 1] == pytest.approx(want_ratios[j], rel=1e-12)
+                assert ratio_row[j - 1] == pytest.approx(want_ratios[j], rel=1e-12)
 
     def test_threshold_above_map_shrinks_the_label_set(self):
         points, labelsets = three_cluster_fixture()
         strict = train(points, flags_from_sets(labelsets), QmlcParams(k=3, t=11.0))
-        assert predict(strict, np.array([1.05, 0.05])).labels == frozenset()
+        _, flags = predict_batch(strict, np.array([[1.05, 0.05]]))
+        assert label_set(flags[0]) == frozenset()
 
     def test_prediction_with_scheme_decodes_state(self):
         points, labelsets = three_cluster_fixture()
         clf = train(points, flags_from_sets(labelsets), QmlcParams(k=3))
-        scheme = build_scheme(ModulationKind.PSK8, 2.0)
-        pred = predict(clf, np.array([1.05, 0.05]), scheme=scheme)
-        assert pred.labels == frozenset({1, 2})
-        assert pred.decoded_state == 2
+        _, flags = predict_batch(clf, np.array([[1.05, 0.05]]))
+        assert label_set(flags[0]) == frozenset({1, 2})
+        assert build_scheme(ModulationKind.PSK8, 2.0).decode(flags).tolist() == [2]
 
     def test_prediction_of_an_erasure_decodes_to_none(self):
         points, labelsets = three_cluster_fixture()
         clf = train(points, flags_from_sets(labelsets), QmlcParams(k=3))
-        pred = predict(clf, np.array([1.05, 0.05]), scheme=build_scheme(ModulationKind.QPSK, 2.0))
-        assert pred.labels == frozenset({1, 2})
-        assert pred.decoded_state is None
-        assert predict(clf, np.array([1.05, 0.05])).decoded_state is None
+        _, flags = predict_batch(clf, np.array([[1.05, 0.05]]))
+        assert label_set(flags[0]) == frozenset({1, 2})
+        assert build_scheme(ModulationKind.QPSK, 2.0).decode(flags).tolist() == [0]  # no state
 
     def test_scaling_all_features_preserves_predictions(self):
         rng = np.random.default_rng(23)
@@ -328,11 +330,10 @@ class TestPrediction:
         queries = rng.normal(size=(25, 3))
         ratios, batch_flags = predict_batch(clf, queries)
         np.testing.assert_array_equal(batch_flags, ratios > t)
-        for row in queries:
-            pred = predict(clf, row)
-            assert pred.labels == frozenset(
-                int(j + 1) for j in np.flatnonzero(pred.ratios > t)
-            )
+        for i in range(len(queries)):  # each row as a batch of its own gives the same result
+            one_ratios, one_flags = predict_batch(clf, queries[i:i + 1])
+            np.testing.assert_array_equal(one_ratios[0], ratios[i])
+            np.testing.assert_array_equal(one_flags[0], batch_flags[i])
 
 
 class TestDecodeState:
@@ -430,8 +431,8 @@ class TestAgainstBruteForce:
         clf = train(points, flags_from_sets(labelsets), QmlcParams(k=k))
         oracle = BruteForceMultiLabelKnn(points, labelsets, k)
         query = rng.integers(0, 12, size=2).astype(float)
-        got = predict(clf, query)
+        ratios, flags = predict_batch(clf, query[None, :])
         want_ratios, want_labels = oracle.predict(query)
-        assert got.labels == frozenset(want_labels)
+        assert label_set(flags[0]) == frozenset(want_labels)
         for j in range(1, 5):
-            assert got.ratios[j - 1] == pytest.approx(want_ratios[j], rel=1e-12)
+            assert ratios[0, j - 1] == pytest.approx(want_ratios[j], rel=1e-12)

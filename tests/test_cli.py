@@ -1,11 +1,16 @@
 import csv
 import inspect
 import json
+import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlcvqkd.cli import DEFAULT_CONFIG, _keyrate_params, _session_config, _stage_rng, _write_csv, load_config, main
 from mlcvqkd.keyrate import KeyRateParams, Protocol, optimize_vm, rate_asymptotic
@@ -144,6 +149,27 @@ class TestConfigValues:
         assert sessions[0] == sessions[1]
         for name in ("training_size", "testing_size", "prediction_block"):
             assert type(getattr(sessions[1], name)) is int
+
+    def test_phase_drift_rad_sets_phase_drift(self):
+        config = load_config(None, None)
+        config["channel"]["phase_drift_rad"] = 0.3
+        session = _session_config(config)
+        assert session.channel.phase_drift == 0.3
+        assert session.channel.distance_km == 20.0
+
+    def test_negative_population_is_a_config_error(self, tmp_path, capsys):
+        config = with_value("simulate.population", -5)
+        code = main(["--config", write_config(tmp_path, config), "--out", str(tmp_path), "simulate"])
+        assert code == 2
+        assert "simulate.population must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["keyrate", "optimize"])
+    @pytest.mark.parametrize("finite", ["no", 1, None])
+    def test_non_boolean_finite_is_a_config_error(self, tmp_path, capsys, command, finite):
+        override = {"keyrate": {"finite": finite, "distances_km": [10]}, "optimize": {"distances_km": [10]}}
+        code = main(["--config", write_config(tmp_path, override), "--out", str(tmp_path), command])
+        assert code == 2
+        assert "keyrate.finite must be true or false" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value, command", [
         ("scheme.kind", "16qam", "learn"),
@@ -397,6 +423,13 @@ class TestKeyrate:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fraction", [math.inf, math.nan, "half"])
+    def test_bad_n_fraction_is_a_config_error(self, tmp_path, capsys, fraction):
+        override = {"keyrate": {"finite": True, "n_fraction": fraction, "distances_km": [10]}}
+        code = main(["--config", write_config(tmp_path, override), "--out", str(tmp_path), "keyrate"])
+        assert code == 2
+        assert "invalid config value" in capsys.readouterr().err
+
     @pytest.mark.parametrize("finite", [False, True])
     @pytest.mark.parametrize("protocol", [p.value for p in Protocol])
     def test_table_equals_the_per_row_loop(self, tmp_path, protocol, finite):
@@ -433,6 +466,112 @@ class TestOptimize:
         code = main(["--config", write_config(tmp_path, override), "--out", str(tmp_path), "optimize"])
         assert code == 2
         assert "finite 0 < v_lo < v_hi" in capsys.readouterr().err
+
+    def test_finite_follows_keyrate_finite(self, tmp_path):
+        tables = {}
+        for finite in (False, True):
+            override = {"keyrate": {"finite": finite}, "optimize": {"distances_km": [20, 60]}}
+            out = tmp_path / str(finite)
+            assert main(["--config", write_config(tmp_path, override), "--out", str(out), "optimize"]) == 0
+            tables[finite] = (out / "optimal_vm.csv").read_bytes()
+        base = KeyRateParams(vm=1.0, transmittance=0.5, n=500_000, big_n=1_000_000)
+        want = optimize_vm(Protocol.EIGHT_STATE, [20.0, 60.0], base, finite=True)
+        _write_csv(tmp_path / "want.csv", ["distance_km", "optimal_vm", "key_rate", "no_positive_rate"],
+                   [[r.distance_km, r.vm, r.key_rate, int(r.no_positive_rate)] for r in want])
+        assert tables[True] == (tmp_path / "want.csv").read_bytes()
+        assert tables[True] != tables[False]
+
+    @pytest.mark.parametrize("override, command, message", [
+        ({"keyrate": {"vm": 5000, "protocol": "four-state"}}, "keyrate", "constellation weights overflow"),
+        ({"keyrate": {"vm": 5000, "protocol": "eight-state"}}, "keyrate", "constellation weights overflow"),
+        ({"optimize": {"v_hi": 5000}}, "optimize", "constellation weights overflow"),
+        ({"keyrate": {"eta": 1e-300}}, "keyrate", "covariance terms overflow"),
+        ({"keyrate": {"eta": 5e-324}}, "optimize", "key rate is not finite"),
+    ])
+    def test_rate_past_the_float_range_exits_three(self, tmp_path, capsys, override, command, message):
+        code = main(["--config", write_config(tmp_path, override), "--out", str(tmp_path), command])
+        assert code == 3
+        assert message in capsys.readouterr().err
+
+
+# a default run's effective_config.json, as indent=2 JSON of this compact text
+DEFAULT_EFFECTIVE_CONFIG = (
+    '{"seed": 20240901, "scheme": {"kind": "8psk", "vm": 50.0}, '
+    '"channel": {"distance_km": 20.0, "loss_db_per_km": 0.2, "excess_noise": 0.01, '
+    '"phase_drift_rad": 0.0, "shot_noise": 1.0}, '
+    '"classifier": {"k": 9, "s": 1.0, "t": 1.0}, '
+    '"session": {"training_size": 5000, "testing_size": 10000, "prediction_block": 10000, '
+    '"rule_id": "rule2", "auc_threshold": 0.9, "filter_quantile": 0.995, "filter_threshold": null}, '
+    '"simulate": {"population": 10000}, '
+    '"keyrate": {"protocol": "eight-state", "vm": 0.35, "distances_km": [0, 5, 10, 20, 40, 60, 80, 100], '
+    '"excess_noise": 0.01, "eta": 0.6, "v_el": 0.05, "beta": 0.98, "lam": 0.927, "finite": false, '
+    '"N": 1000000, "n_fraction": 0.5, "eps_bar": 1e-10, "eps_pe": 1e-10, "eps_pa": 1e-10, '
+    '"ml_eve_term": 0.0}, '
+    '"optimize": {"protocol": "eight-state", "distances_km": [20, 40, 60, 80, 100], '
+    '"v_lo": 0.05, "v_hi": 20.0}, '
+    '"evaluate": {"vm_grid": [30.0, 50.0], "distance_grid": [10.0, 20.0]}}'
+)
+
+
+def leaves(config, prefix=""):
+    """Dotted keys of every non-object value in config."""
+    for key, value in config.items():
+        if isinstance(value, dict):
+            yield from leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}"
+
+
+# the commands that read each section
+READERS = {
+    "seed": ("simulate",), "scheme": ("learn",), "channel": ("learn",), "classifier": ("learn",),
+    "session": ("learn",), "simulate": ("simulate",), "keyrate": ("keyrate", "optimize"),
+    "optimize": ("optimize",), "evaluate": ("evaluate",),
+}
+CONFIG_LEAVES = sorted(leaves(DEFAULT_CONFIG))
+# a wrong type, an unknown enum member, null, non-finite, negative, and the same inside a list
+MUTATIONS = [
+    "bogus", True, None, {"x": 1}, math.nan, math.inf, -math.inf, -1, -0.5,
+    ["bogus"], [None], [math.nan], [math.inf], [-1],
+]
+# any JSON value, with numbers kept small enough that a valid one runs in a moment
+SCALARS = (st.none() | st.booleans() | st.integers(-1000, 1000) | st.floats(-1e3, 1e3)
+           | st.sampled_from([math.nan, math.inf, -math.inf]) | st.text(max_size=4))
+JSON_VALUES = SCALARS | st.lists(SCALARS, max_size=3) | st.dictionaries(st.text(max_size=3), SCALARS, max_size=2)
+
+
+def exit_code(key, value, command):
+    """main's exit code on the quiet session with key set to value, or the
+    exception that escaped it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), with_value(key, value))
+        try:
+            return main(["--config", path, "--out", tmp, command])
+        except Exception as exc:
+            return repr(exc)
+
+
+class TestConfigFuzz:
+    def test_default_effective_config_bytes(self, tmp_path):
+        assert main(["--out", str(tmp_path), "keyrate"]) == 0
+        want = json.dumps(json.loads(DEFAULT_EFFECTIVE_CONFIG), indent=2) + "\n"
+        assert (tmp_path / "effective_config.json").read_text() == want
+
+    def test_every_leaf_mutation_ends_in_a_documented_exit_code(self):
+        failures = []
+        for key in CONFIG_LEAVES:
+            for value in MUTATIONS:
+                for command in READERS[key.split(".")[0]]:
+                    code = exit_code(key, value, command)
+                    if code not in {0, 2, 3, 4}:
+                        failures.append((key, value, command, code))
+        assert failures == []
+
+    @given(st.sampled_from(CONFIG_LEAVES), JSON_VALUES, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_any_leaf_value_ends_in_a_documented_exit_code(self, key, value, data):
+        command = data.draw(st.sampled_from(READERS[key.split(".")[0]]))
+        assert exit_code(key, value, command) in {0, 2, 3, 4}
 
 
 class TestAttackDemo:

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from mlcvqkd.errors import InvalidInputError, InvalidParameterError
 from mlcvqkd.features import (
     ReferenceSet,
-    euclidean,
-    extract,
     extract_batch,
     filter_features,
     reference_set_for,
@@ -27,40 +25,46 @@ def square_refs():
     ))
 
 
+def distance(a: PhasePoint, b: PhasePoint) -> float:
+    """The feature of point a against the single reference b."""
+    return extract_batch([[a.q, a.p]], ReferenceSet(points=(b,)))[0, 0]
+
+
 class TestEuclidean:
     def test_three_four_five(self):
-        assert euclidean(PhasePoint(0.0, 0.0), PhasePoint(3.0, 4.0)) == 5.0
+        assert distance(PhasePoint(0.0, 0.0), PhasePoint(3.0, 4.0)) == 5.0
 
     def test_zero_for_identical_points(self):
-        assert euclidean(PhasePoint(1.2, -0.7), PhasePoint(1.2, -0.7)) == 0.0
+        assert distance(PhasePoint(1.2, -0.7), PhasePoint(1.2, -0.7)) == 0.0
 
     def test_symmetric(self):
         a, b = PhasePoint(0.3, 2.0), PhasePoint(-1.0, 0.5)
-        assert euclidean(a, b) == euclidean(b, a)
+        assert distance(a, b) == distance(b, a)
 
 
 class TestExtract:
     def test_center_of_square_is_equidistant(self):
-        d = extract(PhasePoint(0.0, 0.0), square_refs())
+        d = extract_batch([[0.0, 0.0]], square_refs())[0]
         np.testing.assert_allclose(d, np.ones(4))
 
     def test_on_reference_gives_zero_entry(self):
-        d = extract(PhasePoint(1.0, 0.0), square_refs())
+        d = extract_batch([[1.0, 0.0]], square_refs())[0]
         assert d[0] == 0.0
         assert d[1] == pytest.approx(math.sqrt(2))
         assert d[2] == 2.0
 
     def test_feature_order_follows_reference_order(self):
         refs = square_refs()
-        d = extract(PhasePoint(0.5, 0.0), refs)
-        expected = [euclidean(PhasePoint(0.5, 0.0), r) for r in refs.points]
+        d = extract_batch([[0.5, 0.0]], refs)[0]
+        expected = [math.hypot(0.5 - r.q, 0.0 - r.p) for r in refs.points]
         np.testing.assert_allclose(d, expected)
 
     def test_default_references_are_the_constellation(self):
         scheme = build_scheme(ModulationKind.PSK8, 2.0)
         refs = reference_set_for(scheme)
         assert refs.w == 8
-        d = extract(scheme.state(3).point, refs)
+        point = scheme.state(3).point
+        d = extract_batch([[point.q, point.p]], refs)[0]
         assert d[2] == pytest.approx(0.0, abs=1e-15)
 
     def test_batch_matches_single(self):
@@ -68,8 +72,8 @@ class TestExtract:
         points = np.array([[0.2, 0.4], [-1.0, 1.0], [3.0, -2.0]])
         batch = extract_batch(points, refs)
         assert batch.shape == (3, 4)
-        for row, (q, p) in zip(batch, points):
-            np.testing.assert_allclose(row, extract(PhasePoint(q, p), refs))
+        for i, row in enumerate(batch):
+            np.testing.assert_array_equal(row, extract_batch(points[i:i + 1], refs)[0])
 
     def test_empty_batch(self):
         assert extract_batch(np.empty((0, 2)), square_refs()).shape == (0, 4)
@@ -87,13 +91,13 @@ class TestExtract:
         shifted_refs = ReferenceSet(points=tuple(
             PhasePoint(r.q + 4.5, r.p - 2.25) for r in square_refs().points
         ))
-        base = extract(point, square_refs())
-        moved = extract(PhasePoint(point.q + 4.5, point.p - 2.25), shifted_refs)
+        base = extract_batch([[point.q, point.p]], square_refs())[0]
+        moved = extract_batch([[point.q + 4.5, point.p - 2.25]], shifted_refs)[0]
         np.testing.assert_allclose(moved, base, rtol=1e-12)
 
     @pytest.mark.parametrize("angle", [0.3, math.pi / 2, 2.0, -1.1])
     def test_nearest_reference_survives_global_rotation(self, angle):
-        point = PhasePoint(0.8, 0.25)  # clearly nearest to the first reference
+        point = (0.8, 0.25)  # clearly nearest to the first reference
         c, s = math.cos(angle), math.sin(angle)
 
         def rot(p):
@@ -101,8 +105,9 @@ class TestExtract:
 
         refs = square_refs()
         turned = ReferenceSet(points=tuple(rot(r) for r in refs.points))
-        assert np.argmin(extract(point, refs)) == 0
-        assert np.argmin(extract(rot(point), turned)) == 0
+        turned_point = rot(PhasePoint(*point))
+        assert np.argmin(extract_batch([point], refs)[0]) == 0
+        assert np.argmin(extract_batch([[turned_point.q, turned_point.p]], turned)[0]) == 0
 
 
 class TestThreshold:

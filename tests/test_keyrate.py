@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -254,6 +257,23 @@ class TestCorrelationZ:
         with pytest.raises(InvalidParameterError):
             covariance_z(Protocol.GAUSSIAN, -0.1)
 
+    @pytest.mark.parametrize("protocol", [Protocol.FOUR_STATE, Protocol.EIGHT_STATE])
+    def test_weight_overflow_is_a_numerical_domain_error(self, protocol):
+        assert math.isfinite(covariance_z(protocol, 1400.0))
+        with pytest.raises(NumericalDomainError, match="constellation weights overflow"):
+            covariance_z(protocol, 1500.0)
+        assert math.isfinite(covariance_z(Protocol.GAUSSIAN, 1500.0))
+
+    @pytest.mark.parametrize("protocol", [Protocol.GAUSSIAN, Protocol.EIGHT_STATE])
+    @pytest.mark.parametrize("extreme, message", [
+        ({"eta": 1e-300}, "covariance terms overflow"), ({"excess_noise": 1e300}, "covariance terms overflow"),
+        ({"v_el": 1e300}, "covariance terms overflow"), ({"eta": 5e-324}, "key rate is not finite"),
+    ])
+    def test_extreme_finite_inputs_are_a_numerical_domain_error(self, protocol, extreme, message):
+        params = KeyRateParams(**{"vm": 0.35, "transmittance": 0.5, "protocol": protocol, **extreme})
+        with pytest.raises(NumericalDomainError, match=message):
+            rate_asymptotic(params)
+
     @pytest.mark.parametrize("vm", [0.05, 0.1, 0.2])
     def test_small_variance_approaches_gaussian(self, vm):
         zg = covariance_z(Protocol.GAUSSIAN, vm)
@@ -439,6 +459,18 @@ class TestOptimizeVm:
                     {"coarse_points": 1}, {"coarse_points": 0}):
             with pytest.raises(InvalidParameterError):
                 optimize_vm(Protocol.EIGHT_STATE, [10.0], params, **bad)
+
+    def test_xtol_below_the_float_resolution_returns(self):
+        # the bracket stops shrinking at adjacent floats; a separate process bounds a hang
+        code = ("from mlcvqkd.keyrate import KeyRateParams, Protocol, optimize_vm; "
+                "params = KeyRateParams(vm=1.0, transmittance=0.5); "
+                "fine = optimize_vm(Protocol.EIGHT_STATE, [10.0], params, xtol=1e-20)[0]; "
+                "coarse = optimize_vm(Protocol.EIGHT_STATE, [10.0], params)[0]; "
+                "print(abs(fine.vm - coarse.vm) < 0.01, fine.key_rate >= coarse.key_rate)")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["True", "True"]
 
 
 FINITE_BLOCK = {"n": 500_000, "big_n": 1_000_000}

@@ -276,3 +276,23 @@ class TestSessionConfig:
         with pytest.raises(InvalidParameterError):
             quiet_config(auc_threshold=1.2)
         assert quiet_config(auc_threshold=1.0).auc_threshold == 1.0
+
+    @pytest.mark.parametrize("name", ["training_size", "testing_size", "prediction_block"])
+    @pytest.mark.parametrize("value", [300.5, 300.0, True, "300"])
+    def test_sizes_must_be_integers(self, name, value):
+        with pytest.raises(InvalidParameterError, match=f"{name} must be an integer"):
+            quiet_config(**{name: value})
+
+    def test_integer_size_of_any_integer_type_is_a_plain_int(self):
+        config = quiet_config(training_size=np.int64(300))
+        assert config.training_size == 300 and type(config.training_size) is int
+
+    @pytest.mark.parametrize("vm", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_modulation_variance_must_be_finite_and_positive(self, vm):
+        with pytest.raises(InvalidParameterError, match="modulation variance"):
+            quiet_config(vm=vm)
+
+    def test_kind_is_coerced_to_the_enum(self):
+        assert quiet_config(kind="qpsk").kind is ModulationKind.QPSK
+        with pytest.raises(InvalidParameterError, match="unknown modulation kind"):
+            quiet_config(kind="16qam")

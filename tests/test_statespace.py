@@ -65,11 +65,12 @@ class TestBuildScheme:
         with pytest.raises(InvalidParameterError):
             build_scheme(ModulationKind.QPSK, vm)
 
-    def test_scheme_serializes(self):
-        doc = build_scheme(ModulationKind.PSK8, 2.0).to_json_dict()
-        assert doc["kind"] == "8psk"
-        assert len(doc["states"]) == 8
-        assert doc["states"][1]["labels"] == [1, 2]
+    def test_scheme_fields(self):
+        scheme = build_scheme(ModulationKind.PSK8, 2.0)
+        assert scheme.kind.value == "8psk"
+        assert scheme.n_states == 8
+        assert scheme.states[1].labels == frozenset({1, 2})
+        assert scheme.label_flags[1].tolist() == [True, True, False, False]
 
     def test_scheme_stays_frozen_and_hashable(self):
         scheme = build_scheme(ModulationKind.PSK8, 2.0)
@@ -146,8 +147,8 @@ class TestEncodingRules:
         with pytest.raises(InvalidParameterError):
             EncodingRule(rule_id="bad", visibility=RuleVisibility.PUBLIC, mapping={1: "0x1"})
 
-    def test_rule_serializes(self):
-        doc = NAMED_RULES["rule3"].to_json_dict()
-        assert doc["visibility"] == "private"
-        assert doc["mapping"]["2"] == "10101"
-        assert [len(v) for v in doc["mapping"].values()] == [2, 5, 2, 1, 4, 2, 4, 3]
+    def test_rule_fields(self):
+        rule = NAMED_RULES["rule3"]
+        assert rule.visibility.value == "private"
+        assert encode(rule, 2) == "10101"
+        assert [len(encode(rule, k)) for k in range(1, 9)] == [2, 5, 2, 1, 4, 2, 4, 3]
