@@ -21,7 +21,7 @@ from .errors import (
     MlcvqkdError,
     NumericalDomainError,
 )
-from .features import ReferenceSet, extract_batch, filter_features, reference_set_for
+from .features import extract_batch, filter_features
 from .keyrate import (
     KeyRateParams,
     Protocol,
@@ -46,10 +46,9 @@ from .statespace import (
     EncodingRule,
     ModulationKind,
     ModulationScheme,
-    PhasePoint,
     build_scheme,
     encode,
-    labels_of,
+    quadrant_flags,
 )
 
 __version__ = "0.1.0"

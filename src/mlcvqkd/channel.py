@@ -66,9 +66,6 @@ class RandomSource:
     def integers(self, low: int, high: int, size) -> np.ndarray:
         return self.generator.integers(low, high, size)
 
-    def uniform(self, low: float, high: float, size) -> np.ndarray:
-        return self.generator.uniform(low, high, size)
-
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -88,10 +85,6 @@ class ChannelParams:
         Shot-noise variance N0, default 1 (shot-noise-unit normalization).
     transmittance : float
         Derived power transmittance in (0, 1].
-    drift_halfwidth : float
-        Optional per-symbol random drift: each symbol additionally rotates
-        by an angle uniform in [-drift_halfwidth, +drift_halfwidth].
-        Default 0 (off); the fixed phi0 model is the reference behavior.
     """
 
     distance_km: float
@@ -99,7 +92,6 @@ class ChannelParams:
     phase_drift: float = 0.0
     loss_db_per_km: float = DEFAULT_LOSS_DB_PER_KM
     shot_noise: float = DEFAULT_SHOT_NOISE
-    drift_halfwidth: float = 0.0
 
     def __post_init__(self):
         for f in fields(self):
@@ -109,8 +101,6 @@ class ChannelParams:
             raise InvalidParameterError(f"excess noise must be nonnegative, got {self.excess_noise}")
         if self.shot_noise <= 0:
             raise InvalidParameterError(f"shot noise must be positive, got {self.shot_noise}")
-        if self.drift_halfwidth < 0:
-            raise InvalidParameterError(f"drift halfwidth must be nonnegative, got {self.drift_halfwidth}")
         # validates distance and loss
         transmittance_from_distance(self.distance_km, self.loss_db_per_km)
 
@@ -139,12 +129,8 @@ def transmit_batch(points: np.ndarray, params: ChannelParams, rng: RandomSource)
     n = points.shape[0]
     q, p = points[:, 0], points[:, 1]
 
-    phi = params.phase_drift
-    if params.drift_halfwidth > 0.0:
-        phi = phi + rng.uniform(-params.drift_halfwidth, params.drift_halfwidth, n)
-
     root_t = math.sqrt(params.transmittance)
-    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+    cos_phi, sin_phi = np.cos(params.phase_drift), np.sin(params.phase_drift)
     sigma = math.sqrt(params.noise_variance)
 
     q_out = root_t * (q * cos_phi + p * sin_phi) + rng.normal(sigma, n)

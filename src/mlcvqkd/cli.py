@@ -34,6 +34,7 @@ from .channel import ChannelParams, RandomSource, transmittance_from_distance
 from .errors import InvalidInputError, InvalidParameterError, LearningRejectedError, MlcvqkdError
 from .keyrate import KeyRateParams, Protocol, covariance_z, optimize_vm, rate_asymptotic, rate_finite
 from .protocol import (
+    MAX_SAMPLES,
     SessionConfig,
     _generate_population,
     format_attack_table,
@@ -82,7 +83,7 @@ DEFAULT_CONFIG = {
         "finite": False,
         "N": 1_000_000,
         "n_fraction": 0.5,
-        **_defaults(_KEYRATE, "eps_bar eps_pe eps_pa ml_eve_term"),
+        **_defaults(_KEYRATE, "eps_bar eps_pa ml_eve_term"),
     },
     "optimize": {
         "protocol": "eight-state",
@@ -146,6 +147,20 @@ def _integer(value, name: str) -> int:
     raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
 
 
+def _real(value, name: str) -> float:
+    """A real config value: an int or a float, not a bool or a string."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise InvalidInputError(f"invalid config value: {name} must be a number, got {value!r}")
+
+
+def _reals(value, name: str) -> list[float]:
+    """A JSON array of real config values."""
+    if not isinstance(value, list):
+        raise InvalidInputError(f"invalid config value: {name} must be an array, got {value!r}")
+    return [_real(v, name) for v in value]
+
+
 @contextlib.contextmanager
 def _config_values():
     """Report a config value that cannot become an object (an unknown enum
@@ -164,13 +179,16 @@ def _field_types(cls) -> dict:
 
 
 def _convert(tp, value, name: str):
-    """A config value as a field of type tp: int through _integer, T | None
-    passes null, and float, str and enums through the type itself."""
+    """A config value as a field of type tp: int through _integer, float
+    through _real, T | None passes null, and str and enums through the type
+    itself."""
     if typing.get_args(tp):  # T | None
         if value is None:
             return None
         tp = typing.get_args(tp)[0]
-    return _integer(value, name) if tp is int else tp(value)
+    if tp is int:
+        return _integer(value, name)
+    return _real(value, name) if tp is float else tp(value)
 
 
 def _from_sections(cls, sections: dict, **given):
@@ -216,8 +234,9 @@ def _emit_effective_config(config: dict, out_dir: Path) -> None:
 def cmd_simulate(config: dict, out_dir: Path) -> int:
     session = _session_config(config)
     population = _integer(config["simulate"]["population"], "simulate.population")
-    if population < 0:
-        raise InvalidParameterError(f"simulate.population must be nonnegative, got {population}")
+    if not 0 <= population <= MAX_SAMPLES:
+        raise InvalidParameterError(
+            f"simulate.population must be nonnegative and at most {MAX_SAMPLES}, got {population}")
     rng_states, rng_channel = _stage_rng(config, "simulate").split(2)
     indices, _, sent, received = _generate_population(
         session.scheme, population, session.channel, rng_states, rng_channel
@@ -267,8 +286,8 @@ def cmd_predict(config: dict, out_dir: Path, classifier_path: str | None) -> int
 def cmd_evaluate(config: dict, out_dir: Path) -> int:
     rows = []
     with _config_values():
-        vm_grid = [float(vm) for vm in config["evaluate"]["vm_grid"]]
-        distance_grid = [float(d) for d in config["evaluate"]["distance_grid"]]
+        vm_grid = _reals(config["evaluate"]["vm_grid"], "evaluate.vm_grid")
+        distance_grid = _reals(config["evaluate"]["distance_grid"], "evaluate.distance_grid")
     cells = [(vm, d) for vm in vm_grid for d in distance_grid]
     rngs = _stage_rng(config, "evaluate").split(len(cells))
     for (vm, distance), rng in zip(cells, rngs):
@@ -306,7 +325,7 @@ def _finite(section: dict) -> bool:
 @_config_values()
 def _keyrate_params(section: dict, vm: float, transmittance: float, protocol: Protocol) -> KeyRateParams:
     big_n = _integer(section["N"], "keyrate.N") if _finite(section) else None
-    n = int(round(section["n_fraction"] * big_n)) if big_n is not None else None
+    n = None if big_n is None else int(round(_real(section["n_fraction"], "keyrate.n_fraction") * big_n))
     return _from_sections(KeyRateParams, {"keyrate": section}, vm=vm, transmittance=transmittance,
                           protocol=protocol, n=n, big_n=big_n)
 
@@ -315,8 +334,8 @@ def cmd_keyrate(config: dict, out_dir: Path) -> int:
     section = config["keyrate"]
     with _config_values():
         protocol = Protocol(section["protocol"])
-        vm = float(section["vm"])
-        distances = [float(d) for d in section["distances_km"]]
+        vm = _real(section["vm"], "keyrate.vm")
+        distances = _reals(section["distances_km"], "keyrate.distances_km")
     rate_of = rate_finite if _finite(section) else rate_asymptotic
     # the section is converted and Z computed once per table; rows differ in T only
     fields = dataclasses.asdict(_keyrate_params(section, vm, 1.0, protocol))
@@ -347,9 +366,9 @@ def cmd_optimize(config: dict, out_dir: Path) -> int:
     section = config["optimize"]
     with _config_values():
         protocol = Protocol(section["protocol"])
-        distances = [float(d) for d in section["distances_km"]]
-        v_lo = float(section["v_lo"])
-        v_hi = float(section["v_hi"])
+        distances = _reals(section["distances_km"], "optimize.distances_km")
+        v_lo = _real(section["v_lo"], "optimize.v_lo")
+        v_hi = _real(section["v_hi"], "optimize.v_hi")
     base = _keyrate_params(config["keyrate"], vm=1.0, transmittance=0.5, protocol=protocol)
     results = optimize_vm(protocol, distances, base, v_lo=v_lo, v_hi=v_hi, finite=_finite(config["keyrate"]))
     rows = [

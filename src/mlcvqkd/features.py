@@ -2,7 +2,8 @@
 
 A received point t is summarized by its Euclidean distances to a fixed
 ordered set of w virtual reference states r_1..r_w (by default the initial
-constellation points), giving the feature vector d = (d_1, ..., d_w).
+constellation points, `scheme.points`), giving the feature vector
+d = (d_1, ..., d_w).
 High-value vectors, whose every-entry-large signature marks points far
 from all references, can be filtered out by an absolute cap or a quantile
 of the max-entry distribution before classifier training.
@@ -10,46 +11,23 @@ of the max-entry distribution before classifier training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError
-from .statespace import ModulationScheme, PhasePoint
 
 
-@dataclass(frozen=True)
-class ReferenceSet:
-    """Ordered reference points; feature index j corresponds to points[j]."""
-
-    points: tuple[PhasePoint, ...]
-
-    def __post_init__(self):
-        if len(self.points) < 1:
-            raise InvalidParameterError("reference set needs at least one point")
-
-    @property
-    def w(self) -> int:
-        return len(self.points)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[r.q, r.p] for r in self.points])
-
-
-def reference_set_for(scheme: ModulationScheme) -> ReferenceSet:
-    """Default references: the initial modulated constellation, in state order."""
-    return ReferenceSet(points=tuple(s.point for s in scheme.states))
-
-
-def extract_batch(points: np.ndarray, refs: ReferenceSet) -> np.ndarray:
-    """Feature vectors for an (n, 2) array of points; returns (n, w)."""
+def extract_batch(points: np.ndarray, refs: np.ndarray) -> np.ndarray:
+    """Feature vectors of an (n, 2) array of points against a (w, 2) array
+    of references, w >= 1; returns (n, w)."""
+    refs = np.asarray(refs, dtype=float)
+    if refs.ndim != 2 or refs.shape[0] < 1 or refs.shape[1] != 2:
+        raise InvalidParameterError(f"expected a (w, 2) array of w >= 1 references, got shape {refs.shape}")
     points = np.asarray(points, dtype=float)
     if points.size == 0:
-        return np.empty((0, refs.w))
+        return np.empty((0, len(refs)))
     if points.ndim != 2 or points.shape[1] != 2:
         raise InvalidInputError(f"expected an (n, 2) array of points, got shape {points.shape}")
-    ref = refs.as_array()  # (w, 2)
-    diff = points[:, None, :] - ref[None, :, :]
+    diff = points[:, None, :] - refs[None, :, :]
     return np.sqrt(np.sum(diff * diff, axis=2))
 
 

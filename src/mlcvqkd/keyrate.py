@@ -80,9 +80,8 @@ class KeyRateParams:
     n, big_n : int or None
         Key-generation length n and block length N for the finite-size
         rate; n <= N. The asymptotic rate ignores them.
-    eps_bar, eps_pe, eps_pa : float
-        Smoothing, parameter-estimation, and privacy-amplification failure
-        probabilities in (0, 1).
+    eps_bar, eps_pa : float
+        Smoothing and privacy-amplification failure probabilities in (0, 1).
     ml_eve_term : float
         Pluggable eavesdropper information for the ML protocol (default 0).
     """
@@ -98,7 +97,6 @@ class KeyRateParams:
     n: int | None = None
     big_n: int | None = None
     eps_bar: float = 1e-10
-    eps_pe: float = 1e-10
     eps_pa: float = 1e-10
     ml_eve_term: float = 0.0
 
@@ -115,7 +113,7 @@ class KeyRateParams:
         for name, value in (("eta", self.eta), ("beta", self.beta), ("lam", self.lam)):
             if not 0 < value <= 1:
                 raise InvalidParameterError(f"{name} must be in (0, 1], got {value}")
-        for name, value in (("eps_bar", self.eps_bar), ("eps_pe", self.eps_pe), ("eps_pa", self.eps_pa)):
+        for name, value in (("eps_bar", self.eps_bar), ("eps_pa", self.eps_pa)):
             if not 0 < value < 1:
                 raise InvalidParameterError(f"{name} must be in (0, 1), got {value}")
         if (self.n is None) != (self.big_n is None):

@@ -23,7 +23,7 @@ import numpy as np
 from . import classifier as qmlc
 from .channel import ChannelParams, RandomSource, transmit_batch
 from .errors import InvalidInputError, InvalidParameterError, LearningRejectedError
-from .features import extract_batch, filter_features, reference_set_for, resolve_threshold
+from .features import extract_batch, filter_features, resolve_threshold
 from .metrics import EvaluationReport, evaluate
 from .statespace import (
     NAMED_RULES,
@@ -33,6 +33,15 @@ from .statespace import (
     build_scheme,
     encode,
 )
+
+# the most rows an array can hold: the largest numpy index
+MAX_SAMPLES = int(np.iinfo(np.intp).max)
+
+
+def _generated_size(training_size: int, testing_size: int) -> int:
+    """Samples state learning draws: the training and testing sets plus a
+    5 percent margin and 200 more to survive filtering."""
+    return math.ceil((training_size + testing_size) * 1.05) + 200
 
 
 @dataclass(frozen=True)
@@ -62,7 +71,13 @@ class SessionConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+            if value > MAX_SAMPLES:
+                raise InvalidParameterError(f"{name} must be at most {MAX_SAMPLES}, got {value}")
             object.__setattr__(self, name, int(value))
+        if _generated_size(self.training_size, self.testing_size) > MAX_SAMPLES:
+            raise InvalidParameterError(
+                f"training and testing sizes draw more than {MAX_SAMPLES} samples together"
+            )
         if self.training_size <= self.qmlc.k:
             raise InvalidParameterError(
                 f"training size {self.training_size} must exceed k={self.qmlc.k}"
@@ -111,8 +126,7 @@ def _generate_population(scheme: ModulationScheme, size: int, channel: ChannelPa
     """(1-based state indices, label flags, sent points, received points)
     of uniformly drawn states."""
     drawn = rng_states.integers(0, scheme.n_states, size)
-    state_points = np.array([[s.point.q, s.point.p] for s in scheme.states])
-    sent = state_points[drawn]
+    sent = scheme.points[drawn]
     received = transmit_batch(sent, channel, rng_channel)
     return drawn + 1, scheme.label_flags[drawn], sent, received
 
@@ -126,15 +140,14 @@ def state_learning(config: SessionConfig, rng: RandomSource) -> LearningOutcome:
     into the training and testing sets in generation order.
     """
     scheme = config.scheme
-    refs = reference_set_for(scheme)
     wanted = config.training_size + config.testing_size
-    generated = math.ceil(wanted * 1.05) + 200
+    generated = _generated_size(config.training_size, config.testing_size)
 
     rng_states, rng_channel = rng.split(2)
     indices, flags, _, received = _generate_population(
         scheme, generated, config.channel, rng_states, rng_channel
     )
-    features = extract_batch(received, refs)
+    features = extract_batch(received, scheme.points)
 
     threshold = resolve_threshold(features, config.filter_threshold, config.filter_quantile)
     kept, discarded = filter_features(features, threshold)
@@ -221,14 +234,13 @@ def state_prediction(clf: qmlc.TrainedClassifier, config: SessionConfig,
     and Delta(n).
     """
     scheme = config.scheme
-    refs = reference_set_for(scheme)
     rule = config.rule
 
     rng_states, rng_channel = rng.split(2)
     indices, _, _, received = _generate_population(
         scheme, config.prediction_block, config.channel, rng_states, rng_channel
     )
-    features = extract_batch(received, refs)
+    features = extract_batch(received, scheme.points)
     _, pred_flags = qmlc.predict_batch(clf, features)
     predicted = scheme.decode(pred_flags)  # 0 marks an erasure
 

@@ -1,15 +1,16 @@
-"""Phase-space states, PSK constellations, quadrant labels, encoding rules.
+"""PSK constellations as arrays, quadrant labels, encoding rules.
 
 A modulated coherent state is represented by its phase-space point (q, p)
-in shot-noise units. Constellations place states on a ring of radius
-alpha = sqrt(V_m / 2); each state carries the set of quadrant labels
-{L1..L4} of the quadrant(s) whose closure contains it. Bit encoding is a
-per-state lookup table that may be public or private and may assign bit
+in shot-noise units. A scheme holds its constellation in one form: the
+(n_states, 2) array `points`, with state k at row k - 1 on a ring of
+radius sqrt(V_m / 2), and the (n_states, 4) array `label_flags` of the
+quadrant labels L1..L4 whose closure contains each point. Bit encoding is
+a per-state lookup table that may be public or private and may assign bit
 strings of different lengths.
 
-Label sets travel as flag rows (L1..L4). A scheme's decode table maps a
-flag row, read as the binary number flags @ (1, 2, 4, 8), to the index
-of the state carrying exactly those labels, or to 0 for an erasure.
+A scheme's decode table maps a flag row, read as the binary number
+flags @ (1, 2, 4, 8), to the index of the state carrying exactly those
+labels, or to 0 for an erasure.
 """
 
 from __future__ import annotations
@@ -37,94 +38,57 @@ class RuleVisibility(str, Enum):
     PRIVATE = "private"
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    """A point (q, p) in phase space, shot-noise units."""
-
-    q: float
-    p: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.q) and math.isfinite(self.p)):
-            raise InvalidParameterError(f"phase point must be finite, got ({self.q}, {self.p})")
-
-
-def labels_of(point: PhasePoint) -> frozenset[int]:
-    """Quadrant label set of a phase-space point.
+def quadrant_flags(points: np.ndarray) -> np.ndarray:
+    """(n, 4) flags of the quadrants L1..L4 whose closure holds each row of
+    an (n, 2) array of points.
 
     Interior points get the single label of their quadrant, points on an
     axis get the two labels of the adjacent quadrants, and the origin gets
-    all four (the closure of every quadrant contains it).
+    all four.
     """
-    q, p = point.q, point.p
-    if q == 0.0 and p == 0.0:
-        return frozenset({1, 2, 3, 4})
-    if q == 0.0:
-        return frozenset({1, 2}) if p > 0 else frozenset({3, 4})
-    if p == 0.0:
-        return frozenset({4, 1}) if q > 0 else frozenset({2, 3})
-    if q > 0:
-        return frozenset({1}) if p > 0 else frozenset({4})
-    return frozenset({2}) if p > 0 else frozenset({3})
+    points = np.asarray(points, dtype=float)
+    q_pos, p_pos = points[:, 0] >= 0, points[:, 1] >= 0
+    q_neg, p_neg = points[:, 0] <= 0, points[:, 1] <= 0
+    return np.column_stack([q_pos & p_pos, q_neg & p_pos, q_neg & p_neg, q_pos & p_neg])
 
 
-@dataclass(frozen=True)
-class ConstellationState:
-    """One constellation state: index k, ring angle, point, label set."""
-
-    index: int
-    angle: float
-    point: PhasePoint
-    labels: frozenset[int]
-
-
-# Exact (cos, sin) pairs for angles k*pi/4, k = 1..8, so axis states land
-# exactly on the axes and labels_of agrees with the stored label sets.
-_HALF_SQRT2 = math.sqrt(2.0) / 2.0
-_OCTANT_COS_SIN = {
-    1: (_HALF_SQRT2, _HALF_SQRT2),
-    2: (0.0, 1.0),
-    3: (-_HALF_SQRT2, _HALF_SQRT2),
-    4: (-1.0, 0.0),
-    5: (-_HALF_SQRT2, -_HALF_SQRT2),
-    6: (0.0, -1.0),
-    7: (_HALF_SQRT2, -_HALF_SQRT2),
-    8: (1.0, 0.0),
-}
+# Exact (cos, sin) rows for angles k*pi/4, k = 1..8, so axis states land
+# exactly on the axes and carry the labels of both adjacent quadrants.
+_H = math.sqrt(2.0) / 2.0
+_OCTANT_COS_SIN = np.array([(_H, _H), (0.0, 1.0), (-_H, _H), (-1.0, 0.0),
+                            (-_H, -_H), (0.0, -1.0), (_H, -_H), (1.0, 0.0)])
 
 
 @dataclass(frozen=True)
 class ModulationScheme:
-    """A PSK constellation with amplitude alpha = sqrt(V_m / 2).
+    """A PSK constellation of modulation variance V_m.
 
-    label_flags is the (n_states, 4) flag matrix of the states' label
-    sets, in state order; decode inverts it.
+    points is the read-only (n_states, 2) array of the states' phase-space
+    points and label_flags the (n_states, 4) array of their quadrant
+    labels; state k is row k - 1 of both. decode inverts label_flags.
     """
 
     kind: ModulationKind
     modulation_variance: float
-    alpha: float
-    states: tuple[ConstellationState, ...]
 
     def __post_init__(self):
-        flags = np.zeros((len(self.states), N_LABELS), dtype=bool)
-        for row, s in enumerate(self.states):
-            flags[row, [j - 1 for j in s.labels]] = True
+        object.__setattr__(self, "kind", ModulationKind(self.kind))
+        vm = self.modulation_variance
+        if not (vm > 0 and math.isfinite(vm)):
+            raise InvalidParameterError(f"modulation variance must be positive, got {vm}")
+        octants = _OCTANT_COS_SIN[::2] if self.kind is ModulationKind.QPSK else _OCTANT_COS_SIN
+        points = math.sqrt(vm / 2.0) * octants
+        flags = quadrant_flags(points)
         table = np.zeros(2**N_LABELS, dtype=int)
-        table[flags @ _FLAG_WEIGHTS] = [s.index for s in self.states]
-        flags.flags.writeable = table.flags.writeable = False
+        table[flags @ _FLAG_WEIGHTS] = np.arange(1, len(points) + 1)
+        points.flags.writeable = flags.flags.writeable = table.flags.writeable = False
+        object.__setattr__(self, "points", points)
         object.__setattr__(self, "label_flags", flags)
         object.__setattr__(self, "_decode_table", table)
 
     @property
     def n_states(self) -> int:
-        return len(self.states)
-
-    def state(self, index: int) -> ConstellationState:
-        for s in self.states:
-            if s.index == index:
-                return s
-        raise InvalidParameterError(f"no state with index {index} in {self.kind.value}")
+        return len(self.points)
 
     def decode(self, flags: np.ndarray) -> np.ndarray:
         """State index of each (n, 4) flag row, 0 where no state carries it.
@@ -145,30 +109,7 @@ def build_scheme(kind: ModulationKind | str, modulation_variance: float) -> Modu
     interior single-label states, even k sit on the axes and carry the two
     labels of the adjacent quadrants.
     """
-    kind = ModulationKind(kind)
-    if not (modulation_variance > 0 and math.isfinite(modulation_variance)):
-        raise InvalidParameterError(f"modulation variance must be positive, got {modulation_variance}")
-    alpha = math.sqrt(modulation_variance / 2.0)
-
-    octants = range(1, 9, 2) if kind is ModulationKind.QPSK else range(1, 9)
-    states = []
-    for k, octant in enumerate(octants, start=1):
-        c, s = _OCTANT_COS_SIN[octant]
-        point = PhasePoint(alpha * c, alpha * s)
-        states.append(
-            ConstellationState(
-                index=k,
-                angle=octant * math.pi / 4.0,
-                point=point,
-                labels=labels_of(point),
-            )
-        )
-    return ModulationScheme(
-        kind=kind,
-        modulation_variance=modulation_variance,
-        alpha=alpha,
-        states=tuple(states),
-    )
+    return ModulationScheme(kind=kind, modulation_variance=modulation_variance)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ against these implementations (and against values frozen from 50-digit
 evaluations of the same routes). Two more are the package's own earlier
 code, kept where a faster path replaced it and must agree bit for bit:
 the direct neighbour search and the row-loop average precision. The
+per-point quadrant rule `labels_of` is the package's earlier label rule,
+kept as the reference for the vectorized `quadrant_flags`, and the
 label-set scan is the package's earlier flags-to-state mapping, kept as
 the reference for the scheme's decode table. The per-point optimal-V_m
 search and the per-row key-rate table are the key-rate loops that
@@ -280,14 +282,33 @@ def stable_argsort_neighbors(queries, training, k, exclude_self=False):
     return out
 
 
+def labels_of(point) -> frozenset[int]:
+    """Quadrant label set of a phase-space point (q, p).
+
+    Interior points get the single label of their quadrant, points on an
+    axis get the two labels of the adjacent quadrants, and the origin gets
+    all four (the closure of every quadrant contains it).
+    """
+    q, p = point
+    if q == 0.0 and p == 0.0:
+        return frozenset({1, 2, 3, 4})
+    if q == 0.0:
+        return frozenset({1, 2}) if p > 0 else frozenset({3, 4})
+    if p == 0.0:
+        return frozenset({4, 1}) if q > 0 else frozenset({2, 3})
+    if q > 0:
+        return frozenset({1}) if p > 0 else frozenset({4})
+    return frozenset({2}) if p > 0 else frozenset({3})
+
+
 def scan_state_for_flags(scheme, flag_row):
     """Index of the state whose label set is exactly the row's flagged
     labels, or 0 when no state carries that set: a linear scan over the
-    states' label sets, the package's original decoder."""
+    label sets of the scheme's points, the package's original decoder."""
     labels = frozenset(j + 1 for j, flag in enumerate(flag_row) if flag)
-    for state in scheme.states:
-        if state.labels == labels:
-            return state.index
+    for index, point in enumerate(scheme.points, start=1):
+        if labels_of(point) == labels:
+            return index
     return 0
 
 

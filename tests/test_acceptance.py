@@ -41,6 +41,7 @@ from oracles import (
     BruteForceMultiLabelKnn,
     bayes_optimal_labels,
     covariance_matrix_rate,
+    labels_of,
     mann_whitney_auc,
 )
 
@@ -165,9 +166,9 @@ def _bayes_optimal_prf(config, received, truth):
     predict no label, as they do for the QMLC.
     """
     scheme = config.scheme
-    labelsets = [set(s.labels) for s in scheme.states]
+    labelsets = [set(labels_of(point)) for point in scheme.points]
     decoded = bayes_optimal_labels(
-        received.tolist(), [(s.point.q, s.point.p) for s in scheme.states], labelsets,
+        received.tolist(), scheme.points.tolist(), labelsets,
         config.channel.transmittance, config.channel.noise_variance,
     )
     pred = np.zeros(truth.shape, dtype=bool)

@@ -14,7 +14,7 @@ from mlcvqkd.classifier import (
     train,
 )
 from mlcvqkd.errors import InvalidInputError, InvalidParameterError
-from mlcvqkd.features import extract_batch, reference_set_for
+from mlcvqkd.features import extract_batch
 from mlcvqkd.protocol import SessionConfig, state_learning
 from mlcvqkd.statespace import ModulationKind, build_scheme
 from oracles import BruteForceMultiLabelKnn, stable_argsort_neighbors
@@ -149,7 +149,7 @@ class TestNeighborSearchIsExact:
         config = SessionConfig()
         outcome = state_learning(config, RandomSource(20240901))
         training = outcome.classifier.features
-        testing = extract_batch(outcome.test_received, reference_set_for(config.scheme))
+        testing = extract_batch(outcome.test_received, config.scheme.points)
         self._assert_matches_oracle(testing, training, config.qmlc.k)
 
 

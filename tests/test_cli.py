@@ -72,6 +72,12 @@ class TestConfigLoading:
         assert code == 2
         assert "unknown config key: typo_section" in capsys.readouterr().err
 
+    def test_eps_pe_is_an_unknown_key(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"keyrate": {"eps_pe": 0.5}})
+        code = main(["--config", path, "--out", str(tmp_path), "keyrate"])
+        assert code == 2
+        assert "unknown config key: keyrate.eps_pe" in capsys.readouterr().err
+
     def test_missing_file_is_a_config_error(self, tmp_path, capsys):
         code = main(["--config", str(tmp_path / "nope.json"), "--out", str(tmp_path), "simulate"])
         assert code == 2
@@ -189,6 +195,49 @@ class TestConfigValues:
         code = main(["--config", write_config(tmp_path, config), "--out", str(tmp_path), command])
         assert code == 2
         assert "invalid config value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, command, message", [
+        ("keyrate.excess_noise", True, "keyrate", "keyrate.excess_noise must be a number"),
+        ("keyrate.eta", "0.6", "keyrate", "keyrate.eta must be a number"),
+        ("keyrate.vm", "0.35", "keyrate", "keyrate.vm must be a number"),
+        ("channel.distance_km", True, "simulate", "channel.distance_km must be a number"),
+        ("optimize.v_hi", "20", "optimize", "optimize.v_hi must be a number"),
+        ("keyrate.distances_km", "25", "keyrate", "keyrate.distances_km must be an array"),
+        ("keyrate.distances_km", [10, True], "keyrate", "keyrate.distances_km must be a number"),
+        ("optimize.distances_km", "25", "optimize", "optimize.distances_km must be an array"),
+        ("optimize.distances_km", {"25": 1}, "optimize", "optimize.distances_km must be an array"),
+        ("evaluate.vm_grid", "50", "evaluate", "evaluate.vm_grid must be an array"),
+        ("evaluate.distance_grid", {"10": 20}, "evaluate", "evaluate.distance_grid must be an array"),
+    ])
+    def test_bool_or_string_number_and_non_array_list_are_config_errors(self, tmp_path, capsys, key,
+                                                                         value, command, message):
+        config = with_value(key, value)
+        code = main(["--config", write_config(tmp_path, config), "--out", str(tmp_path), command])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [True, "0.5"])
+    def test_bool_or_string_n_fraction_is_a_config_error(self, tmp_path, capsys, value):
+        config = integer_config("keyrate.n_fraction", value)
+        code = main(["--config", write_config(tmp_path, config), "--out", str(tmp_path), "keyrate"])
+        assert code == 2
+        assert "keyrate.n_fraction must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sizes, command, message", [
+        ({"session.training_size": 2**70}, "learn", "training_size must be at most"),
+        ({"session.testing_size": 1e300}, "learn", "testing_size must be at most"),
+        ({"session.prediction_block": 2**70}, "learn", "prediction_block must be at most"),
+        ({"session.training_size": 2**62, "session.testing_size": 2**62}, "learn", "samples together"),
+        ({"simulate.population": 2**70}, "simulate", "simulate.population must be nonnegative and at most"),
+        ({"simulate.population": 1e300}, "simulate", "simulate.population must be nonnegative and at most"),
+    ])
+    def test_size_past_the_index_range_is_a_config_error(self, tmp_path, capsys, sizes, command, message):
+        config = QUIET_SESSION
+        for key, value in sizes.items():
+            config = with_value(key, value, config)
+        code = main(["--config", write_config(tmp_path, config), "--out", str(tmp_path), command])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestClassifierConfig:
@@ -465,7 +514,9 @@ class TestOptimize:
         override = {"optimize": {"distances_km": [50], key: value}}
         code = main(["--config", write_config(tmp_path, override), "--out", str(tmp_path), "optimize"])
         assert code == 2
-        assert "finite 0 < v_lo < v_hi" in capsys.readouterr().err
+        # a string is not a number, whatever float() would make of it
+        want = f"optimize.{key} must be a number" if isinstance(value, str) else "finite 0 < v_lo < v_hi"
+        assert want in capsys.readouterr().err
 
     def test_finite_follows_keyrate_finite(self, tmp_path):
         tables = {}
@@ -505,7 +556,7 @@ DEFAULT_EFFECTIVE_CONFIG = (
     '"simulate": {"population": 10000}, '
     '"keyrate": {"protocol": "eight-state", "vm": 0.35, "distances_km": [0, 5, 10, 20, 40, 60, 80, 100], '
     '"excess_noise": 0.01, "eta": 0.6, "v_el": 0.05, "beta": 0.98, "lam": 0.927, "finite": false, '
-    '"N": 1000000, "n_fraction": 0.5, "eps_bar": 1e-10, "eps_pe": 1e-10, "eps_pa": 1e-10, '
+    '"N": 1000000, "n_fraction": 0.5, "eps_bar": 1e-10, "eps_pa": 1e-10, '
     '"ml_eve_term": 0.0}, '
     '"optimize": {"protocol": "eight-state", "distances_km": [20, 40, 60, 80, 100], '
     '"v_lo": 0.05, "v_hi": 20.0}, '
@@ -540,11 +591,24 @@ SCALARS = (st.none() | st.booleans() | st.integers(-1000, 1000) | st.floats(-1e3
 JSON_VALUES = SCALARS | st.lists(SCALARS, max_size=3) | st.dictionaries(st.text(max_size=3), SCALARS, max_size=2)
 
 
-def exit_code(key, value, command):
-    """main's exit code on the quiet session with key set to value, or the
+def value_at(config, key):
+    for name in key.split("."):
+        config = config[name]
+    return config
+
+
+# leaves holding a number, and leaves holding a list of numbers
+NUMBER_LEAVES = [k for k in CONFIG_LEAVES if type(value_at(DEFAULT_CONFIG, k)) in (int, float)]
+LIST_LEAVES = [k for k in CONFIG_LEAVES if isinstance(value_at(DEFAULT_CONFIG, k), list)]
+# the quiet session with finite-size key rates, so that keyrate.N and n_fraction are read
+FINITE_SESSION = with_value("keyrate.finite", True)
+
+
+def exit_code(key, value, command, base=QUIET_SESSION):
+    """main's exit code on the base session with key set to value, or the
     exception that escaped it."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = write_config(Path(tmp), with_value(key, value))
+        path = write_config(Path(tmp), with_value(key, value, base))
         try:
             return main(["--config", path, "--out", tmp, command])
         except Exception as exc:
@@ -565,6 +629,19 @@ class TestConfigFuzz:
                     code = exit_code(key, value, command)
                     if code not in {0, 2, 3, 4}:
                         failures.append((key, value, command, code))
+        assert failures == []
+
+    def test_bool_or_string_number_and_string_or_object_list_exit_two(self):
+        # the first reader of each section reads every leaf of it
+        cases = [(key, value) for key in NUMBER_LEAVES for value in (True, "1")]
+        cases += [(key, value) for key in LIST_LEAVES for value in ("25", {"25": 1})]
+        failures = []
+        for key, value in cases:
+            command = READERS[key.split(".")[0]][0]
+            code = exit_code(key, value, command, FINITE_SESSION)
+            if code != 2:
+                failures.append((key, value, command, code))
+        assert len(NUMBER_LEAVES) > 20 and len(LIST_LEAVES) == 4
         assert failures == []
 
     @given(st.sampled_from(CONFIG_LEAVES), JSON_VALUES, st.data())

@@ -6,39 +6,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlcvqkd.errors import InvalidInputError, InvalidParameterError
-from mlcvqkd.features import (
-    ReferenceSet,
-    extract_batch,
-    filter_features,
-    reference_set_for,
-    resolve_threshold,
-)
-from mlcvqkd.statespace import ModulationKind, PhasePoint, build_scheme
+from mlcvqkd.features import extract_batch, filter_features, resolve_threshold
+from mlcvqkd.statespace import ModulationKind, build_scheme
 
 
 def square_refs():
-    return ReferenceSet(points=(
-        PhasePoint(1.0, 0.0),
-        PhasePoint(0.0, 1.0),
-        PhasePoint(-1.0, 0.0),
-        PhasePoint(0.0, -1.0),
-    ))
+    return np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 
 
-def distance(a: PhasePoint, b: PhasePoint) -> float:
+def distance(a, b) -> float:
     """The feature of point a against the single reference b."""
-    return extract_batch([[a.q, a.p]], ReferenceSet(points=(b,)))[0, 0]
+    return extract_batch([a], [b])[0, 0]
 
 
 class TestEuclidean:
     def test_three_four_five(self):
-        assert distance(PhasePoint(0.0, 0.0), PhasePoint(3.0, 4.0)) == 5.0
+        assert distance((0.0, 0.0), (3.0, 4.0)) == 5.0
 
     def test_zero_for_identical_points(self):
-        assert distance(PhasePoint(1.2, -0.7), PhasePoint(1.2, -0.7)) == 0.0
+        assert distance((1.2, -0.7), (1.2, -0.7)) == 0.0
 
     def test_symmetric(self):
-        a, b = PhasePoint(0.3, 2.0), PhasePoint(-1.0, 0.5)
+        a, b = (0.3, 2.0), (-1.0, 0.5)
         assert distance(a, b) == distance(b, a)
 
 
@@ -56,15 +45,13 @@ class TestExtract:
     def test_feature_order_follows_reference_order(self):
         refs = square_refs()
         d = extract_batch([[0.5, 0.0]], refs)[0]
-        expected = [math.hypot(0.5 - r.q, 0.0 - r.p) for r in refs.points]
+        expected = [math.hypot(0.5 - q, 0.0 - p) for q, p in refs]
         np.testing.assert_allclose(d, expected)
 
     def test_default_references_are_the_constellation(self):
         scheme = build_scheme(ModulationKind.PSK8, 2.0)
-        refs = reference_set_for(scheme)
-        assert refs.w == 8
-        point = scheme.state(3).point
-        d = extract_batch([[point.q, point.p]], refs)[0]
+        d = extract_batch(scheme.points[2:3], scheme.points)[0]  # state 3
+        assert d.shape == (8,)
         assert d[2] == pytest.approx(0.0, abs=1e-15)
 
     def test_batch_matches_single(self):
@@ -83,31 +70,26 @@ class TestExtract:
             extract_batch(np.ones((3, 5)), square_refs())
 
     def test_empty_reference_set_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            ReferenceSet(points=())
+        for refs in (np.empty((0, 2)), [], np.ones((2, 3)), np.ones(2)):
+            with pytest.raises(InvalidParameterError):
+                extract_batch([[0.0, 0.0]], refs)
 
     def test_shifting_point_and_references_together_changes_nothing(self):
-        point = PhasePoint(0.7, -0.3)
-        shifted_refs = ReferenceSet(points=tuple(
-            PhasePoint(r.q + 4.5, r.p - 2.25) for r in square_refs().points
-        ))
-        base = extract_batch([[point.q, point.p]], square_refs())[0]
-        moved = extract_batch([[point.q + 4.5, point.p - 2.25]], shifted_refs)[0]
+        point = np.array([0.7, -0.3])
+        shift = np.array([4.5, -2.25])
+        base = extract_batch([point], square_refs())[0]
+        moved = extract_batch([point + shift], square_refs() + shift)[0]
         np.testing.assert_allclose(moved, base, rtol=1e-12)
 
     @pytest.mark.parametrize("angle", [0.3, math.pi / 2, 2.0, -1.1])
     def test_nearest_reference_survives_global_rotation(self, angle):
-        point = (0.8, 0.25)  # clearly nearest to the first reference
+        point = np.array([0.8, 0.25])  # clearly nearest to the first reference
         c, s = math.cos(angle), math.sin(angle)
-
-        def rot(p):
-            return PhasePoint(c * p.q - s * p.p, s * p.q + c * p.p)
+        turn = np.array([[c, s], [-s, c]])  # row vectors times this rotate by angle
 
         refs = square_refs()
-        turned = ReferenceSet(points=tuple(rot(r) for r in refs.points))
-        turned_point = rot(PhasePoint(*point))
         assert np.argmin(extract_batch([point], refs)[0]) == 0
-        assert np.argmin(extract_batch([[turned_point.q, turned_point.p]], turned)[0]) == 0
+        assert np.argmin(extract_batch([point @ turn], refs @ turn)[0]) == 0
 
 
 class TestThreshold:

@@ -14,6 +14,7 @@ from mlcvqkd.protocol import (
     state_prediction,
 )
 from mlcvqkd.statespace import ModulationKind, build_scheme
+from oracles import labels_of
 
 QUIET = 1e-18
 
@@ -89,9 +90,8 @@ class TestGeneratePopulation:
         assert sent.shape == (500, 2) and received.shape == (500, 2)
         assert indices.min() >= 1 and indices.max() <= 8
         for idx, flag_row, point in zip(indices, flags, sent):
-            state = scheme.state(int(idx))
-            assert (point == [state.point.q, state.point.p]).all()
-            assert {j + 1 for j in np.flatnonzero(flag_row)} == set(state.labels)
+            assert (point == scheme.points[idx - 1]).all()
+            assert {j + 1 for j in np.flatnonzero(flag_row)} == labels_of(point)
 
     def test_all_states_drawn(self):
         scheme = build_scheme(ModulationKind.PSK8, 2.0)
