@@ -32,7 +32,7 @@ from pathlib import Path
 from . import classifier as qmlc
 from .channel import ChannelParams, RandomSource, transmittance_from_distance
 from .errors import InvalidInputError, InvalidParameterError, LearningRejectedError, MlcvqkdError
-from .keyrate import KeyRateParams, Protocol, covariance_z, optimize_vm, rate_asymptotic, rate_finite
+from .keyrate import KeyRateParams, Protocol, optimize_vm, rate_asymptotic, rate_finite
 from .protocol import (
     MAX_SAMPLES,
     SessionConfig,
@@ -227,10 +227,6 @@ def _write_json(path: Path, doc) -> None:
         fh.write("\n")
 
 
-def _emit_effective_config(config: dict, out_dir: Path) -> None:
-    _write_json(out_dir / "effective_config.json", config)
-
-
 def cmd_simulate(config: dict, out_dir: Path) -> int:
     session = _session_config(config)
     population = _integer(config["simulate"]["population"], "simulate.population")
@@ -246,7 +242,6 @@ def cmd_simulate(config: dict, out_dir: Path) -> int:
         for k, (q, p), (q2, p2) in zip(indices, sent, received)
     ]
     _write_csv(out_dir / "samples.csv", ["true_state", "q_in", "p_in", "q_out", "p_out"], rows)
-    _emit_effective_config(config, out_dir)
     print(f"simulate: wrote {population} rows to {out_dir / 'samples.csv'}")
     return 0
 
@@ -259,7 +254,6 @@ def cmd_learn(config: dict, out_dir: Path) -> int:
     report["filter_threshold"] = outcome.filter_threshold
     report["discard_rate"] = outcome.discard_rate
     _write_json(out_dir / "evaluation.json", report)
-    _emit_effective_config(config, out_dir)
     print(
         f"learn: average AUC {outcome.report.average_auc:.4f}, "
         f"macro precision {outcome.report.macro_precision:.4f}, "
@@ -275,7 +269,6 @@ def cmd_predict(config: dict, out_dir: Path, classifier_path: str | None) -> int
     session = _session_config(config)
     transcript = state_prediction(clf, session, _stage_rng(config, "predict"))
     _write_json(out_dir / "transcript.json", transcript.to_json_dict())
-    _emit_effective_config(config, out_dir)
     print(
         f"predict: {transcript.n_sent} symbols, {transcript.n_erased} erased, "
         f"agreement rate {transcript.agreement_rate:.4f}"
@@ -311,20 +304,15 @@ def cmd_evaluate(config: dict, out_dir: Path) -> int:
          "average_precision", "average_auc", "erasure_rate"],
         rows,
     )
-    _emit_effective_config(config, out_dir)
     print(f"evaluate: wrote {len(rows)} grid cells to {out_dir / 'metric_sweep.csv'}")
     return 0
 
 
-def _finite(section: dict) -> bool:
-    if not isinstance(section["finite"], bool):
-        raise InvalidParameterError(f"keyrate.finite must be true or false, got {section['finite']!r}")
-    return section["finite"]
-
-
 @_config_values()
 def _keyrate_params(section: dict, vm: float, transmittance: float, protocol: Protocol) -> KeyRateParams:
-    big_n = _integer(section["N"], "keyrate.N") if _finite(section) else None
+    if not isinstance(section["finite"], bool):
+        raise InvalidParameterError(f"keyrate.finite must be true or false, got {section['finite']!r}")
+    big_n = _integer(section["N"], "keyrate.N") if section["finite"] else None
     n = None if big_n is None else int(round(_real(section["n_fraction"], "keyrate.n_fraction") * big_n))
     return _from_sections(KeyRateParams, {"keyrate": section}, vm=vm, transmittance=transmittance,
                           protocol=protocol, n=n, big_n=big_n)
@@ -336,16 +324,15 @@ def cmd_keyrate(config: dict, out_dir: Path) -> int:
         protocol = Protocol(section["protocol"])
         vm = _real(section["vm"], "keyrate.vm")
         distances = _reals(section["distances_km"], "keyrate.distances_km")
-    rate_of = rate_finite if _finite(section) else rate_asymptotic
-    # the section is converted and Z computed once per table; rows differ in T only
+    # the section is converted once per table; rows differ in T only
     fields = dataclasses.asdict(_keyrate_params(section, vm, 1.0, protocol))
     del fields["transmittance"]
-    z = covariance_z(protocol, vm)
+    rate_of = rate_asymptotic if fields["n"] is None else rate_finite
     rows = []
     for distance in distances:
         t = transmittance_from_distance(distance)
         params = KeyRateParams(transmittance=t, **fields)
-        result = rate_of(params, z)
+        result = rate_of(params)
         rows.append([
             distance, t, params.vm, result.mutual_information,
             result.holevo_term, result.delta_n if result.delta_n is not None else 0.0,
@@ -357,7 +344,6 @@ def cmd_keyrate(config: dict, out_dir: Path) -> int:
          "delta_n", "key_rate", "protocol"],
         rows,
     )
-    _emit_effective_config(config, out_dir)
     print(f"keyrate: wrote {len(rows)} distances to {out_dir / 'keyrate.csv'}")
     return 0
 
@@ -370,7 +356,7 @@ def cmd_optimize(config: dict, out_dir: Path) -> int:
         v_lo = _real(section["v_lo"], "optimize.v_lo")
         v_hi = _real(section["v_hi"], "optimize.v_hi")
     base = _keyrate_params(config["keyrate"], vm=1.0, transmittance=0.5, protocol=protocol)
-    results = optimize_vm(protocol, distances, base, v_lo=v_lo, v_hi=v_hi, finite=_finite(config["keyrate"]))
+    results = optimize_vm(distances, base, v_lo=v_lo, v_hi=v_hi)
     rows = [
         [r.distance_km, r.vm, r.key_rate, int(r.no_positive_rate)]
         for r in results
@@ -380,14 +366,21 @@ def cmd_optimize(config: dict, out_dir: Path) -> int:
         ["distance_km", "optimal_vm", "key_rate", "no_positive_rate"],
         rows,
     )
-    _emit_effective_config(config, out_dir)
     print(f"optimize: wrote {len(rows)} distances to {out_dir / 'optimal_vm.csv'}")
     return 0
 
 
-def cmd_attack_demo() -> int:
-    print(format_attack_table(intercept_resend_demo()))
-    return 0
+# the subcommands in --help order; attack-demo (None) reads no config. A cmd_*
+# name is looked up when its command runs, so a wrapper bound to it is called.
+_COMMANDS = {
+    "simulate": lambda config, out_dir, args: cmd_simulate(config, out_dir),
+    "learn": lambda config, out_dir, args: cmd_learn(config, out_dir),
+    "evaluate": lambda config, out_dir, args: cmd_evaluate(config, out_dir),
+    "keyrate": lambda config, out_dir, args: cmd_keyrate(config, out_dir),
+    "optimize": lambda config, out_dir, args: cmd_optimize(config, out_dir),
+    "attack-demo": None,
+    "predict": lambda config, out_dir, args: cmd_predict(config, out_dir, args.classifier),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -399,34 +392,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="master seed override")
     parser.add_argument("--out", default=".", help="output directory (created if missing)")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "learn", "evaluate", "keyrate", "optimize", "attack-demo"):
+    for name in _COMMANDS:
         sub.add_parser(name)
-    predict = sub.add_parser("predict")
-    predict.add_argument("--classifier", help="classifier.json produced by the learn subcommand")
+    sub.choices["predict"].add_argument("--classifier", help="classifier.json produced by the learn subcommand")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    run = _COMMANDS[args.command]
     try:
-        if args.command == "attack-demo":
-            return cmd_attack_demo()
+        if run is None:
+            print(format_attack_table(intercept_resend_demo()))
+            return 0
         config = load_config(args.config, args.seed)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "simulate":
-            return cmd_simulate(config, out_dir)
-        if args.command == "learn":
-            return cmd_learn(config, out_dir)
-        if args.command == "predict":
-            return cmd_predict(config, out_dir, args.classifier)
-        if args.command == "evaluate":
-            return cmd_evaluate(config, out_dir)
-        if args.command == "keyrate":
-            return cmd_keyrate(config, out_dir)
-        if args.command == "optimize":
-            return cmd_optimize(config, out_dir)
-        raise AssertionError(f"unhandled command {args.command}")
+        code = run(config, out_dir, args)
+        _write_json(out_dir / "effective_config.json", config)
+        return code
     except MlcvqkdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -34,6 +34,7 @@ traditional rate structure for conservative comparisons.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -101,6 +102,10 @@ class KeyRateParams:
     ml_eve_term: float = 0.0
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "protocol", Protocol(self.protocol))
+        except ValueError:
+            raise InvalidParameterError(f"unknown protocol {self.protocol!r}") from None
         if not 0 < self.vm < math.inf:
             raise InvalidParameterError(f"modulation variance must be finite and positive, got {self.vm}")
         if not 0 < self.transmittance <= 1:
@@ -154,8 +159,6 @@ class RateResult:
     mutual_information: float
     holevo_term: float
     delta_n: float | None = None
-    correlation_z: float | None = None
-    lambdas: tuple[float, ...] | None = None
 
     def __post_init__(self):
         # finite inputs near the float limits (eta near 0, V_m near 1e308) can still end in inf or NaN
@@ -236,10 +239,20 @@ def _weights_eight(a2: float) -> list[float]:
     ]
 
 
+@functools.lru_cache(maxsize=128)
 def covariance_z(protocol: Protocol, vm: float) -> float:
-    """Alice-Bob correlation Z for the given protocol at variance vm."""
-    if vm < 0:
-        raise InvalidParameterError(f"modulation variance must be nonnegative, got {vm}")
+    """Alice-Bob correlation Z for the given protocol at variance vm.
+
+    The last 128 values are cached. The arguments are coerced first, so
+    equal keys of other types ("gaussian", a numpy float) return a float.
+    """
+    try:
+        protocol = Protocol(protocol)
+    except ValueError:
+        raise InvalidParameterError(f"unknown protocol {protocol!r}") from None
+    vm = float(vm)
+    if not 0 <= vm < math.inf:
+        raise InvalidParameterError(f"modulation variance must be finite and nonnegative, got {vm}")
     if vm == 0.0:
         return 0.0
     if protocol is Protocol.GAUSSIAN or protocol is Protocol.ML:
@@ -304,10 +317,9 @@ def _eig_pair(s: float, p: float, which: str) -> tuple[float, float]:
     return max(lam_plus, 1.0), max(lam_minus, 1.0)
 
 
-def holevo_chi_be(params: KeyRateParams, z: float | None = None) -> tuple[float, float, tuple[float, ...]]:
+def holevo_chi_be(params: KeyRateParams) -> tuple[float, float, tuple[float, ...]]:
     """Holevo bound chi_BE; returns (chi, z, lambdas)."""
-    if z is None:
-        z = covariance_z(params.protocol, params.vm)
+    z = covariance_z(params.protocol, params.vm)
     try:
         lams = symplectic_eigenvalues(params, z)
     except OverflowError:  # a power of a covariance term past the float range
@@ -327,28 +339,24 @@ def delta_n(params: KeyRateParams) -> float:
     return (2 * DIM_HB + 3) * math.sqrt(math.log2(2.0 / params.eps_bar) / n) + (2.0 / n) * math.log2(1.0 / params.eps_pa)
 
 
-def rate_asymptotic(params: KeyRateParams, z: float | None = None) -> RateResult:
-    """K = beta I - chi_BE, or beta Lambda I - chi_E for the ML protocol.
-
-    z, when given, must be covariance_z(params.protocol, params.vm); callers
-    evaluating many points at one V_m pass it to skip recomputing it.
-    """
+def rate_asymptotic(params: KeyRateParams) -> RateResult:
+    """K = beta I - chi_BE, or beta Lambda I - chi_E for the ML protocol."""
     i_ab = mutual_information(params)
     if params.protocol is Protocol.ML:
         key = params.beta * params.lam * i_ab - params.ml_eve_term
         return RateResult(params.protocol, key, i_ab, params.ml_eve_term)
-    chi, z, lams = holevo_chi_be(params, z)
+    chi, _, _ = holevo_chi_be(params)
     key = params.beta * i_ab - chi
-    return RateResult(params.protocol, key, i_ab, chi, correlation_z=z, lambdas=lams)
+    return RateResult(params.protocol, key, i_ab, chi)
 
 
-def rate_finite(params: KeyRateParams, z: float | None = None) -> RateResult:
+def rate_finite(params: KeyRateParams) -> RateResult:
     """Finite-size rate (n/N) [beta I - chi - Delta(n)].
 
     The traditional protocols charge chi_BE evaluated at the nominal
     channel parameters (an optimistic bound: no confidence-interval
     widening of T and xi); the ML protocol charges the pluggable
-    eavesdropper term and scales I by Lambda. z is as in rate_asymptotic.
+    eavesdropper term and scales I by Lambda.
     """
     d = delta_n(params)
     ratio = params.n / params.big_n
@@ -356,9 +364,9 @@ def rate_finite(params: KeyRateParams, z: float | None = None) -> RateResult:
     if params.protocol is Protocol.ML:
         key = ratio * (params.beta * params.lam * i_ab - params.ml_eve_term - d)
         return RateResult(params.protocol, key, i_ab, params.ml_eve_term, delta_n=d)
-    chi, z, lams = holevo_chi_be(params, z)
+    chi, _, _ = holevo_chi_be(params)
     key = ratio * (params.beta * i_ab - chi - d)
-    return RateResult(params.protocol, key, i_ab, chi, delta_n=d, correlation_z=z, lambdas=lams)
+    return RateResult(params.protocol, key, i_ab, chi, delta_n=d)
 
 
 @dataclass(frozen=True)
@@ -396,17 +404,15 @@ def _golden_section_max(f, lo: float, hi: float, xtol: float) -> float:
     return (a + b) / 2.0
 
 
-def optimize_vm(protocol: Protocol, distances_km, params: KeyRateParams,
-                v_lo: float = 0.05, v_hi: float = 20.0, coarse_points: int = 32,
-                xtol: float = 0.01, finite: bool = False) -> list[OptimalVariance]:
+def optimize_vm(distances_km, params: KeyRateParams, v_lo: float = 0.05, v_hi: float = 20.0,
+                coarse_points: int = 32, xtol: float = 0.01) -> list[OptimalVariance]:
     """Per-distance argmax of the key rate over modulation variance.
 
-    A 32-point log-spaced coarse grid locates the basin of the optimum
-    (the rate surface is near-flat around it at long distance), then
-    golden-section search refines within the bracketing grid interval to
-    xtol. Distances where even the best rate is nonpositive are flagged.
-    Z depends on V_m alone, so the grid's Z values are computed once for
-    all distances.
+    The rate is that of params.protocol, finite-size when params carries
+    n and big_n. A 32-point log-spaced coarse grid locates the basin of the
+    optimum (the rate surface is near-flat around it at long distance),
+    then golden-section search refines within the bracketing grid interval
+    to xtol. Distances where even the best rate is nonpositive are flagged.
     """
     if not (math.isfinite(v_lo) and math.isfinite(v_hi) and 0 < v_lo < v_hi):
         raise InvalidParameterError(f"need finite 0 < v_lo < v_hi, got [{v_lo}, {v_hi}]")
@@ -414,21 +420,20 @@ def optimize_vm(protocol: Protocol, distances_km, params: KeyRateParams,
         raise InvalidParameterError(f"xtol must be finite and positive, got {xtol}")
     if not coarse_points >= 2:
         raise InvalidParameterError(f"coarse_points must be at least 2, got {coarse_points}")
-    rate_of = rate_finite if finite else rate_asymptotic
+    rate_of = rate_asymptotic if params.n is None else rate_finite
 
     results = []
     grid = np.geomspace(v_lo, v_hi, coarse_points)
-    grid_z = [covariance_z(protocol, v) for v in grid]
     fields = dataclasses.asdict(params)
     del fields["vm"]
     for distance in distances_km:
         # points are constructed (and so validated) directly: dataclasses.replace costs about as much as the rate
-        point = {**fields, "transmittance": transmittance_from_distance(distance), "protocol": protocol}
+        point = {**fields, "transmittance": transmittance_from_distance(distance)}
 
-        def rate(vm: float, z: float | None = None) -> float:
-            return rate_of(KeyRateParams(vm=vm, **point), z).key_rate
+        def rate(vm: float) -> float:
+            return rate_of(KeyRateParams(vm=vm, **point)).key_rate
 
-        coarse = [rate(v, z) for v, z in zip(grid, grid_z)]
+        coarse = [rate(v) for v in grid]
         best = int(np.argmax(coarse))
         lo = grid[max(best - 1, 0)]
         hi = grid[min(best + 1, len(grid) - 1)]

@@ -12,6 +12,7 @@ model assumes (see CHANGES.md). The supplementary tests pin where the
 part of the gate.
 """
 
+import dataclasses
 import math
 import time
 
@@ -90,8 +91,8 @@ def test_criterion_2_long_distance_optimal_variance():
     params = LONG_DISTANCE_PARAMS
     distances = [80.0, 90.0, 100.0, 120.0, 150.0]
     start = time.perf_counter()
-    four = optimize_vm(Protocol.FOUR_STATE, distances, params)
-    eight = optimize_vm(Protocol.EIGHT_STATE, distances, params)
+    four = optimize_vm(distances, dataclasses.replace(params, protocol=Protocol.FOUR_STATE))
+    eight = optimize_vm(distances, dataclasses.replace(params, protocol=Protocol.EIGHT_STATE))
     elapsed = time.perf_counter() - start
 
     # (a) at 80/90/100 km each optimum is the oracle's, to optimize_vm's xtol
@@ -124,8 +125,8 @@ def test_optimal_variance_floors_near_the_positivity_edge():
     protocol's positive-rate range ends (~150 km); at 80-100 km the optimum
     is still above them (criterion 2)."""
     params = LONG_DISTANCE_PARAMS
-    four = optimize_vm(Protocol.FOUR_STATE, [150.0], params)[0]
-    eight = optimize_vm(Protocol.EIGHT_STATE, [150.0], params)[0]
+    four = optimize_vm([150.0], dataclasses.replace(params, protocol=Protocol.FOUR_STATE))[0]
+    eight = optimize_vm([150.0], dataclasses.replace(params, protocol=Protocol.EIGHT_STATE))[0]
     assert abs(four.vm - 0.30) <= 0.05
     assert abs(eight.vm - 0.35) <= 0.05
 

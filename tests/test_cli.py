@@ -526,7 +526,7 @@ class TestOptimize:
             assert main(["--config", write_config(tmp_path, override), "--out", str(out), "optimize"]) == 0
             tables[finite] = (out / "optimal_vm.csv").read_bytes()
         base = KeyRateParams(vm=1.0, transmittance=0.5, n=500_000, big_n=1_000_000)
-        want = optimize_vm(Protocol.EIGHT_STATE, [20.0, 60.0], base, finite=True)
+        want = optimize_vm([20.0, 60.0], base)
         _write_csv(tmp_path / "want.csv", ["distance_km", "optimal_vm", "key_rate", "no_positive_rate"],
                    [[r.distance_km, r.vm, r.key_rate, int(r.no_positive_rate)] for r in want])
         assert tables[True] == (tmp_path / "want.csv").read_bytes()
@@ -651,7 +651,26 @@ class TestConfigFuzz:
         assert exit_code(key, value, command) in {0, 2, 3, 4}
 
 
+class TestEffectiveConfig:
+    @pytest.mark.parametrize("command", ["simulate", "learn", "evaluate", "keyrate", "optimize"])
+    def test_written_once_a_command_returns(self, tmp_path, command):
+        override = {**QUIET_SESSION, "evaluate": {"vm_grid": [2.0], "distance_grid": [0.0]},
+                    "keyrate": {"distances_km": [10]}, "optimize": {"distances_km": [10]}}
+        path = write_config(tmp_path, override)
+        assert main(["--config", path, "--out", str(tmp_path / "out"), command]) == 0
+        assert json.loads((tmp_path / "out" / "effective_config.json").read_text()) == load_config(path, None)
+
+    def test_not_written_when_a_command_fails(self, tmp_path):
+        path = write_config(tmp_path, {"keyrate": {"vm": 5000, "protocol": "four-state"}})
+        assert main(["--config", path, "--out", str(tmp_path / "out"), "keyrate"]) == 3
+        assert list((tmp_path / "out").iterdir()) == []
+
+
 class TestAttackDemo:
+    def test_writes_no_file(self, tmp_path):
+        assert main(["--out", str(tmp_path / "out"), "attack-demo"]) == 0
+        assert not (tmp_path / "out").exists()
+
     def test_prints_all_nine_strings(self, capsys):
         assert main(["attack-demo"]) == 0
         out = capsys.readouterr().out

@@ -152,6 +152,16 @@ class TestNoiseDecomposition:
         with pytest.raises(InvalidParameterError):
             KeyRateParams(vm=1.0, transmittance=0.5, n=200, big_n=100)
 
+    def test_protocol_is_coerced(self):
+        # a protocol given by its value once passed unchecked, failed every `is` test and gave the eight-state rate
+        p = KeyRateParams(vm=0.35, transmittance=0.5, protocol="gaussian")
+        assert p.protocol is Protocol.GAUSSIAN
+        want = rate_asymptotic(KeyRateParams(vm=0.35, transmittance=0.5, protocol=Protocol.GAUSSIAN))
+        assert rate_asymptotic(p) == want
+        assert want.key_rate == pytest.approx(0.03916, abs=5e-6)
+        with pytest.raises(InvalidParameterError, match="unknown protocol 'bogus'"):
+            KeyRateParams(vm=0.35, transmittance=0.5, protocol="bogus")
+
     @pytest.mark.parametrize("field", ["vm", "excess_noise", "v_el", "ml_eve_term"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_rejected(self, field, value):
@@ -256,6 +266,33 @@ class TestCorrelationZ:
     def test_negative_variance_rejected(self):
         with pytest.raises(InvalidParameterError):
             covariance_z(Protocol.GAUSSIAN, -0.1)
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    @pytest.mark.parametrize("vm", [math.nan, math.inf])
+    def test_non_finite_variance_rejected(self, protocol, vm):
+        # NaN once gave a NaN Z, and +inf a bare math domain error for the constellations
+        with pytest.raises(InvalidParameterError, match="finite"):
+            covariance_z(protocol, vm)
+
+    def test_unknown_protocol_rejected(self):
+        with pytest.raises(InvalidParameterError, match="unknown protocol 'bogus'"):
+            covariance_z("bogus", 1.0)
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_equal_keys_give_one_float(self, protocol):
+        covariance_z.cache_clear()
+        first = covariance_z(protocol.value, np.float64(0.7))
+        for key in ((protocol, 0.7), (protocol.value, 0.7), (protocol, np.float64(0.7))):
+            z = covariance_z(*key)
+            assert type(z) is float and z == first
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    @pytest.mark.parametrize("vm", [0.0, 1e-3, 0.35, 1.0, 2.0, 50.0, 1400.0])
+    def test_cached_z_is_the_computed_z(self, protocol, vm):
+        covariance_z.cache_clear()
+        want = covariance_z.__wrapped__(protocol, vm)
+        covariance_z(protocol, vm)  # fills the cache
+        assert covariance_z(protocol, vm).hex() == want.hex()
 
     @pytest.mark.parametrize("protocol", [Protocol.FOUR_STATE, Protocol.EIGHT_STATE])
     def test_weight_overflow_is_a_numerical_domain_error(self, protocol):
@@ -427,7 +464,7 @@ class TestOptimizeVm:
 
     def test_matches_dense_grid_scan(self):
         params = KeyRateParams(vm=1.0, transmittance=0.5)
-        results = optimize_vm(Protocol.EIGHT_STATE, [50.0], params, v_lo=0.05, v_hi=20.0)
+        results = optimize_vm([50.0], params, v_lo=0.05, v_hi=20.0)
         best = results[0]
         dense = np.geomspace(0.05, 20.0, 4000)
         dense_rates = [
@@ -444,28 +481,28 @@ class TestOptimizeVm:
 
     def test_flags_distances_with_no_positive_rate(self):
         params = KeyRateParams(vm=1.0, transmittance=0.5)
-        results = optimize_vm(Protocol.EIGHT_STATE, [10.0, 400.0], params)
+        results = optimize_vm([10.0, 400.0], params)
         assert not results[0].no_positive_rate
         assert results[1].no_positive_rate
 
     def test_invalid_bracket_rejected(self):
         params = KeyRateParams(vm=1.0, transmittance=0.5)
         with pytest.raises(InvalidParameterError):
-            optimize_vm(Protocol.EIGHT_STATE, [10.0], params, v_lo=2.0, v_hi=1.0)
+            optimize_vm([10.0], params, v_lo=2.0, v_hi=1.0)
         # an infinite bound was a math domain error, xtol = 0 never returned,
         # and fewer than two grid points was a numpy error
         for bad in ({"v_hi": math.inf}, {"v_hi": math.nan}, {"v_lo": math.nan}, {"v_lo": -math.inf},
                     {"xtol": 0.0}, {"xtol": -0.01}, {"xtol": math.nan}, {"xtol": math.inf},
                     {"coarse_points": 1}, {"coarse_points": 0}):
             with pytest.raises(InvalidParameterError):
-                optimize_vm(Protocol.EIGHT_STATE, [10.0], params, **bad)
+                optimize_vm([10.0], params, **bad)
 
     def test_xtol_below_the_float_resolution_returns(self):
         # the bracket stops shrinking at adjacent floats; a separate process bounds a hang
-        code = ("from mlcvqkd.keyrate import KeyRateParams, Protocol, optimize_vm; "
+        code = ("from mlcvqkd.keyrate import KeyRateParams, optimize_vm; "
                 "params = KeyRateParams(vm=1.0, transmittance=0.5); "
-                "fine = optimize_vm(Protocol.EIGHT_STATE, [10.0], params, xtol=1e-20)[0]; "
-                "coarse = optimize_vm(Protocol.EIGHT_STATE, [10.0], params)[0]; "
+                "fine = optimize_vm([10.0], params, xtol=1e-20)[0]; "
+                "coarse = optimize_vm([10.0], params)[0]; "
                 "print(abs(fine.vm - coarse.vm) < 0.01, fine.key_rate >= coarse.key_rate)")
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
                                 env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
@@ -477,14 +514,15 @@ FINITE_BLOCK = {"n": 500_000, "big_n": 1_000_000}
 
 
 class TestZOncePerVm:
-    """Passing Z in, or computing it once per V_m, changes no bit of a rate."""
+    """Z is computed once per (protocol, V_m) and then read from the cache; that changes no bit of a rate."""
 
     @pytest.mark.parametrize("finite", [False, True])
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_optimize_vm_equals_the_per_point_search(self, protocol, finite):
-        params = KeyRateParams(vm=1.0, transmittance=0.5, **(FINITE_BLOCK if finite else {}))
+        params = KeyRateParams(vm=1.0, transmittance=0.5, protocol=protocol, **(FINITE_BLOCK if finite else {}))
         distances = range(0, 151)
-        got = optimize_vm(protocol, distances, params, finite=finite)
+        got = optimize_vm(distances, params)
+        covariance_z.cache_clear()
         assert got == per_point_optimize_vm(protocol, distances, params, finite=finite)
         if finite:  # the finite-size rows cross the positivity edge inside 150 km
             assert {r.no_positive_rate for r in got} == {False, True}
@@ -499,16 +537,18 @@ class TestZOncePerVm:
         block=st.one_of(st.none(), st.integers(min_value=1, max_value=10**9)),
     )
     @settings(max_examples=300, deadline=None)
-    def test_given_z_changes_no_bit(self, protocol, vm, transmittance, excess_noise, eta, v_el, block):
+    def test_warm_cache_changes_no_bit(self, protocol, vm, transmittance, excess_noise, eta, v_el, block):
         finite = {} if block is None else {"n": max(block // 2, 1), "big_n": block}
         p = KeyRateParams(vm=vm, transmittance=transmittance, excess_noise=excess_noise, eta=eta,
                           v_el=v_el, protocol=protocol, **finite)
         rate_of = rate_asymptotic if block is None else rate_finite
 
-        def outcome(*args):
+        def outcome():
             try:
-                return rate_of(p, *args)
+                return rate_of(p)
             except NumericalDomainError as exc:
                 return type(exc), str(exc), exc.values
 
-        assert outcome(covariance_z(protocol, vm)) == outcome()
+        covariance_z.cache_clear()
+        cold = repr(outcome())  # repr tells every float bit apart, -0.0 from 0.0 included
+        assert repr(outcome()) == cold
