@@ -221,10 +221,9 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
 
 
-def _write_json(path: Path, doc) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+def _write_json(path: Path, doc, indent: int | None = 2) -> None:
+    # json.dumps without indent runs the C encoder; dump to a file or an indent runs the Python one
+    path.write_text(json.dumps(doc, indent=indent) + "\n")
 
 
 def cmd_simulate(config: dict, out_dir: Path) -> int:
@@ -249,7 +248,7 @@ def cmd_simulate(config: dict, out_dir: Path) -> int:
 def cmd_learn(config: dict, out_dir: Path) -> int:
     session = _session_config(config)
     outcome = state_learning(session, _stage_rng(config, "learn"))
-    _write_json(out_dir / "classifier.json", outcome.classifier.to_json_dict())
+    _write_json(out_dir / "classifier.json", outcome.classifier.to_json_dict(), indent=None)
     report = outcome.report.to_json_dict()
     report["filter_threshold"] = outcome.filter_threshold
     report["discard_rate"] = outcome.discard_rate

@@ -36,6 +36,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -124,6 +125,11 @@ class KeyRateParams:
         if (self.n is None) != (self.big_n is None):
             raise InvalidParameterError("n and big_n must be given together")
         if self.n is not None:
+            for name in ("n", "big_n"):
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+                object.__setattr__(self, name, int(value))
             if self.n <= 0 or self.big_n <= 0 or self.n > self.big_n:
                 raise InvalidParameterError(f"need 0 < n <= N, got n={self.n}, N={self.big_n}")
         if not math.isfinite(self.ml_eve_term):
@@ -423,7 +429,8 @@ def optimize_vm(distances_km, params: KeyRateParams, v_lo: float = 0.05, v_hi: f
     rate_of = rate_asymptotic if params.n is None else rate_finite
 
     results = []
-    grid = np.geomspace(v_lo, v_hi, coarse_points)
+    # Python floats: numpy scalars would make every rate slower and warn on overflow
+    grid = [float(v) for v in np.geomspace(v_lo, v_hi, coarse_points)]
     fields = dataclasses.asdict(params)
     del fields["vm"]
     for distance in distances_km:

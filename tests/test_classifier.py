@@ -153,6 +153,77 @@ class TestNeighborSearchIsExact:
         self._assert_matches_oracle(testing, training, config.qmlc.k)
 
 
+class TestNeighborSearchOnAGrid:
+    """Training sets large enough for the projection grid to prune: each
+    case must still match the stable argsort over every distance, for the
+    query search and the self-search alike."""
+
+    M = 2000
+    _assert_matches_oracle = staticmethod(TestNeighborSearchIsExact._assert_matches_oracle)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4])
+    def test_lattice_ties_and_duplicates_across_cells(self, offset):
+        # 2000 rows on 30 x 30 x 3 lattice points: duplicates in every cell
+        # and equal distances across the k boundary; the offset makes
+        # |q|^2 + |t|^2 - 2 q.t cancel badly
+        rng = np.random.default_rng(11)
+        training = rng.integers(0, [30, 30, 3], size=(self.M, 3)).astype(float) + offset
+        queries = np.vstack([training[rng.integers(0, self.M, size=150)],
+                             rng.integers(0, [30, 30, 3], size=(150, 3)) + 0.5 + offset])
+        for k in (1, 9, 40):
+            self._assert_matches_oracle(queries, training, k)
+
+    @pytest.mark.parametrize("value", [0.0, 0.1])
+    def test_all_equal_features(self, value):
+        # zero singular values: the projection has no area, and every
+        # distance from a query on the point ties
+        training = np.full((self.M, 4), value)
+        rng = np.random.default_rng(12)
+        queries = np.vstack([training[:50], value + rng.normal(size=(50, 4))])
+        self._assert_matches_oracle(queries, training, 9)
+
+    def test_one_feature(self):
+        rng = np.random.default_rng(13)
+        training = np.round(rng.normal(size=(self.M, 1)), 2)  # rounded: many duplicates
+        queries = np.vstack([training[:100], rng.normal(scale=2.0, size=(100, 1))])
+        self._assert_matches_oracle(queries, training, 9)
+
+    def test_collinear_references(self):
+        # distances to references on one line, from points on that line past
+        # them: every feature is the position plus a constant, a rank-1 set
+        rng = np.random.default_rng(14)
+        references = np.array([-10.0, -9.0, -7.5, -6.0, -6.0])
+        positions = rng.uniform(0.0, 5.0, size=self.M)
+        training = np.abs(positions[:, None] - references)
+        queries = np.abs(rng.uniform(-1.0, 6.0, size=200)[:, None] - references)
+        self._assert_matches_oracle(queries, training, 9)
+
+    def test_queries_outside_the_projected_hull(self, monkeypatch):
+        # a flat square cloud, queries near its rows and on its edges, far
+        # outside it in the projection, and above it along an axis the
+        # projection drops
+        rng = np.random.default_rng(15)
+        training = rng.uniform(-10.0, 10.0, size=(self.M, 5)) * [1.0, 1.0, 0.01, 0.01, 0.01]
+        inside = training[rng.integers(0, self.M, size=200)] + rng.normal(scale=0.05, size=(200, 5))
+        far = np.array([[500.0, 0, 0, 0, 0], [-80.0, 90.0, 0, 0, 0], [0, -45.0, 0, 0, 0]])
+        above = inside[:20] + [0, 0, 30.0, 0, 0]
+        queries = np.vstack([inside, far, above])
+
+        looked_at = []
+        search = classifier._nearest_in_windows
+
+        def counting(*args):
+            query_idx, n_queries, window_rows = args[-3:]
+            looked_at.append(int(n_queries.sum()) * window_rows.shape[1])
+            return search(*args)
+
+        monkeypatch.setattr(classifier, "_nearest_in_windows", counting)
+        self._assert_matches_oracle(queries, training, 9)
+        # the grid pruned: all queries of both searches together looked at
+        # fewer than a tenth of the rows a full search reads
+        assert sum(looked_at) < 0.1 * (len(queries) + self.M) * self.M
+
+
 class TestTraining:
     def test_priors_are_smoothed_carrier_fractions(self):
         points, labelsets = three_cluster_fixture()

@@ -544,6 +544,17 @@ class TestOptimize:
         assert code == 3
         assert message in capsys.readouterr().err
 
+    def test_rate_past_the_float_range_prints_no_numpy_warning(self, tmp_path):
+        # numpy scalars in the optimize grid once printed three RuntimeWarning lines before the error
+        result = subprocess.run(
+            [sys.executable, "-m", "mlcvqkd.cli", "--config", write_config(tmp_path, {"keyrate": {"eta": 5e-324}}),
+             "--out", str(tmp_path / "out"), "optimize"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 3
+        assert "key rate is not finite" in result.stderr
+        assert "RuntimeWarning" not in result.stderr
+
 
 # a default run's effective_config.json, as indent=2 JSON of this compact text
 DEFAULT_EFFECTIVE_CONFIG = (

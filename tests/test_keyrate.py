@@ -169,6 +169,19 @@ class TestNoiseDecomposition:
         with pytest.raises(InvalidParameterError, match="finite"):
             KeyRateParams(**{"vm": 1.0, "transmittance": 0.5, "protocol": Protocol.ML, field: value})
 
+    @pytest.mark.parametrize("n, big_n", [(2.5, 10.5), (5.0, 10.0), (True, True), (1, True), (math.nan, 10),
+                                          (5, math.nan), ("5", 10)])
+    def test_block_sizes_must_be_integers(self, n, big_n):
+        # a fractional or boolean block size once passed and gave a rate for no real block
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            KeyRateParams(vm=1.0, transmittance=0.5, n=n, big_n=big_n)
+
+    def test_integer_block_sizes_of_any_integer_type_are_plain_ints(self):
+        p = KeyRateParams(vm=1.0, transmittance=0.5, n=np.int32(500), big_n=np.int64(1000))
+        assert type(p.n) is int and type(p.big_n) is int
+        assert (p.n, p.big_n) == (500, 1000)
+        assert rate_finite(p) == rate_finite(KeyRateParams(vm=1.0, transmittance=0.5, n=500, big_n=1000))
+
 
 class TestMutualInformation:
     def test_frozen_values(self):
