@@ -324,13 +324,12 @@ def cmd_keyrate(config: dict, out_dir: Path) -> int:
         vm = _real(section["vm"], "keyrate.vm")
         distances = _reals(section["distances_km"], "keyrate.distances_km")
     # the section is converted once per table; rows differ in T only
-    fields = dataclasses.asdict(_keyrate_params(section, vm, 1.0, protocol))
-    del fields["transmittance"]
-    rate_of = rate_asymptotic if fields["n"] is None else rate_finite
+    base = _keyrate_params(section, vm, 1.0, protocol)
+    rate_of = rate_asymptotic if base.n is None else rate_finite
     rows = []
     for distance in distances:
         t = transmittance_from_distance(distance)
-        params = KeyRateParams(transmittance=t, **fields)
+        params = base.at(transmittance=t)
         result = rate_of(params)
         rows.append([
             distance, t, params.vm, result.mutual_information,
@@ -382,7 +381,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parse_args does not change it."""
     parser = argparse.ArgumentParser(
         prog="mlcvqkd",
         description="Multi-label-learning CVQKD pipeline: simulation, classification, key rates.",

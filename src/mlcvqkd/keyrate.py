@@ -33,7 +33,6 @@ traditional rate structure for conservative comparisons.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import numbers
@@ -57,9 +56,51 @@ class Protocol(str, Enum):
     ML = "ml"
 
 
+def _real(name: str, value) -> float:
+    """A float field's value as a Python float; a bool or a non-real is an
+    InvalidParameterError, as is a real past the float range."""
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidParameterError(f"{name} must be finite, got {value!r}") from None
+
+
+def _checked_vm(value) -> float:
+    vm = _real("vm", value)
+    if not 0 < vm < math.inf:
+        raise InvalidParameterError(f"modulation variance must be finite and positive, got {vm}")
+    return vm
+
+
+def _checked_transmittance(value) -> float:
+    t = _real("transmittance", value)
+    if not 0 < t <= 1:
+        raise InvalidParameterError(f"transmittance must be in (0, 1], got {t}")
+    return t
+
+
+def _line_terms(t: float, excess_noise: float, chi_het: float) -> tuple[float, float]:
+    """chi_line and chi_tot at transmittance t."""
+    chi_line = 1.0 / t - 1.0 + excess_noise
+    return chi_line, chi_line + chi_het / t
+
+
 @dataclass(frozen=True)
 class KeyRateParams:
     """Every scalar entering the rate formulas.
+
+    The float fields are stored as Python floats, whatever real type was
+    given; a bool, a string or None is an InvalidParameterError. The channel
+    terms v = V_m + 1, chi_line, chi_het and chi_tot (see the module
+    docstring) are computed once, when a point is made, and read as
+    attributes; they are not fields, so they take no part in ==, repr or
+    dataclasses.asdict. ``at`` makes the same point at another V_m or T
+    and checks only what it replaces, which is what a sweep over either
+    needs.
 
     Attributes
     ----------
@@ -107,10 +148,10 @@ class KeyRateParams:
             object.__setattr__(self, "protocol", Protocol(self.protocol))
         except ValueError:
             raise InvalidParameterError(f"unknown protocol {self.protocol!r}") from None
-        if not 0 < self.vm < math.inf:
-            raise InvalidParameterError(f"modulation variance must be finite and positive, got {self.vm}")
-        if not 0 < self.transmittance <= 1:
-            raise InvalidParameterError(f"transmittance must be in (0, 1], got {self.transmittance}")
+        object.__setattr__(self, "vm", _checked_vm(self.vm))
+        object.__setattr__(self, "transmittance", _checked_transmittance(self.transmittance))
+        for name in ("excess_noise", "eta", "v_el", "beta", "lam", "eps_bar", "eps_pa", "ml_eve_term"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if not (math.isfinite(self.excess_noise) and math.isfinite(self.v_el)) \
                 or self.excess_noise < 0 or self.v_el < 0:
             raise InvalidParameterError(
@@ -134,22 +175,29 @@ class KeyRateParams:
                 raise InvalidParameterError(f"need 0 < n <= N, got n={self.n}, N={self.big_n}")
         if not math.isfinite(self.ml_eve_term):
             raise InvalidParameterError(f"ml_eve_term must be finite, got {self.ml_eve_term}")
+        chi_het = (1.0 + (1.0 - self.eta) + 2.0 * self.v_el) / self.eta
+        chi_line, chi_tot = _line_terms(self.transmittance, self.excess_noise, chi_het)
+        # plain attributes, not fields, so they are written past the frozen __setattr__
+        vars(self).update(v=self.vm + 1.0, chi_line=chi_line, chi_het=chi_het, chi_tot=chi_tot)
 
-    @property
-    def v(self) -> float:
-        return self.vm + 1.0
+    def at(self, *, vm: float | None = None, transmittance: float | None = None) -> "KeyRateParams":
+        """This point with vm and/or transmittance replaced (None keeps a field).
 
-    @property
-    def chi_line(self) -> float:
-        return 1.0 / self.transmittance - 1.0 + self.excess_noise
-
-    @property
-    def chi_het(self) -> float:
-        return (1.0 + (1.0 - self.eta) + 2.0 * self.v_el) / self.eta
-
-    @property
-    def chi_tot(self) -> float:
-        return self.chi_line + self.chi_het / self.transmittance
+        The copy equals dataclasses.replace(self, vm=..., transmittance=...)
+        in every field and channel term, and a bad value raises the
+        constructor's InvalidParameterError, but only the replaced fields are
+        checked again and only the terms that depend on them recomputed.
+        """
+        fields = vars(self).copy()
+        if vm is not None:
+            fields["vm"] = vm = _checked_vm(vm)
+            fields["v"] = vm + 1.0
+        if transmittance is not None:
+            fields["transmittance"] = t = _checked_transmittance(transmittance)
+            fields["chi_line"], fields["chi_tot"] = _line_terms(t, self.excess_noise, self.chi_het)
+        point = object.__new__(type(self))
+        object.__setattr__(point, "__dict__", fields)
+        return point
 
     @classmethod
     def at_distance(cls, distance_km: float, **kwargs) -> "KeyRateParams":
@@ -281,8 +329,7 @@ def covariance_z(protocol: Protocol, vm: float) -> float:
 def symplectic_eigenvalues(params: KeyRateParams, z: float) -> tuple[float, float, float, float, float]:
     """(lambda_1..lambda_5) of the pre- and post-measurement covariances."""
     v, t = params.v, params.transmittance
-    chi_line, chi_het = params.chi_line, params.chi_het
-    chi_tot = chi_line + chi_het / t  # the chi_tot property, without re-reading its terms
+    chi_line, chi_het, chi_tot = params.chi_line, params.chi_het, params.chi_tot
 
     a = v * v + t * t * (v + chi_line) ** 2 - 2.0 * t * z * z
     b = (t * (v * v + v * chi_line - z * z)) ** 2
@@ -420,25 +467,23 @@ def optimize_vm(distances_km, params: KeyRateParams, v_lo: float = 0.05, v_hi: f
     then golden-section search refines within the bracketing grid interval
     to xtol. Distances where even the best rate is nonpositive are flagged.
     """
+    v_lo, v_hi, xtol = _real("v_lo", v_lo), _real("v_hi", v_hi), _real("xtol", xtol)
     if not (math.isfinite(v_lo) and math.isfinite(v_hi) and 0 < v_lo < v_hi):
         raise InvalidParameterError(f"need finite 0 < v_lo < v_hi, got [{v_lo}, {v_hi}]")
     if not (math.isfinite(xtol) and xtol > 0):
         raise InvalidParameterError(f"xtol must be finite and positive, got {xtol}")
-    if not coarse_points >= 2:
-        raise InvalidParameterError(f"coarse_points must be at least 2, got {coarse_points}")
+    if isinstance(coarse_points, bool) or not isinstance(coarse_points, numbers.Integral) or coarse_points < 2:
+        raise InvalidParameterError(f"coarse_points must be an integer of at least 2, got {coarse_points!r}")
     rate_of = rate_asymptotic if params.n is None else rate_finite
 
     results = []
     # Python floats: numpy scalars would make every rate slower and warn on overflow
     grid = [float(v) for v in np.geomspace(v_lo, v_hi, coarse_points)]
-    fields = dataclasses.asdict(params)
-    del fields["vm"]
     for distance in distances_km:
-        # points are constructed (and so validated) directly: dataclasses.replace costs about as much as the rate
-        point = {**fields, "transmittance": transmittance_from_distance(distance)}
+        point = params.at(transmittance=transmittance_from_distance(distance))
 
         def rate(vm: float) -> float:
-            return rate_of(KeyRateParams(vm=vm, **point)).key_rate
+            return rate_of(point.at(vm=vm)).key_rate
 
         coarse = [rate(v) for v in grid]
         best = int(np.argmax(coarse))

@@ -12,7 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlcvqkd.cli import DEFAULT_CONFIG, _keyrate_params, _session_config, _stage_rng, _write_csv, load_config, main
+from mlcvqkd.cli import (
+    DEFAULT_CONFIG,
+    _keyrate_params,
+    _session_config,
+    _stage_rng,
+    _write_csv,
+    build_parser,
+    load_config,
+    main,
+)
 from mlcvqkd.keyrate import KeyRateParams, Protocol, optimize_vm, rate_asymptotic
 from mlcvqkd.protocol import SessionConfig, _generate_population
 from oracles import per_row_keyrate_rows
@@ -94,6 +103,30 @@ class TestConfigLoading:
         with pytest.raises(SystemExit) as exc:
             main(["--format", "csv", "--out", str(tmp_path), "simulate"])
         assert exc.value.code == 2
+
+
+class TestParser:
+    """The parser is built once per process and reused by every main call."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_reuse_keeps_help_and_usage_errors(self, tmp_path, capsys):
+        outputs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--help"])
+            assert exc.value.code == 0
+            with pytest.raises(SystemExit) as exc:
+                main(["--out", str(tmp_path), "predict", "--bogus"])
+            assert exc.value.code == 2
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert "keyrate" in outputs[0].out and "unrecognized arguments: --bogus" in outputs[0].err
+        # an option one call set is not left behind for the next
+        assert main(["--out", str(tmp_path), "predict", "--classifier", "missing.json"]) == 2
+        assert main(["--out", str(tmp_path), "predict"]) == 2
+        assert "predict needs --classifier" in capsys.readouterr().err
 
 
 class TestDefaultsAgree:
@@ -419,6 +452,7 @@ class TestEvaluate:
             assert float(row[6]) == 1.0  # average_auc on the quiet channel
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestKeyrate:
     def test_asymptotic_table_matches_library(self, tmp_path):
         override = {"keyrate": {"distances_km": [10, 20]}}
@@ -495,6 +529,7 @@ class TestKeyrate:
             assert min(row[6] for row in want) <= 0 < max(row[6] for row in want)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestOptimize:
     def test_optimal_vm_table(self, tmp_path):
         override = {"optimize": {"distances_km": [50], "v_lo": 0.05, "v_hi": 20.0}}

@@ -1,4 +1,7 @@
+import collections
 import dataclasses
+import fractions
+import json
 import math
 import os
 import subprocess
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlcvqkd import cli, keyrate
 from mlcvqkd.errors import InvalidParameterError, NumericalDomainError
 from mlcvqkd.keyrate import (
     KeyRateParams,
@@ -78,6 +82,12 @@ I_10KM = 0.08811743081231075799043
 K_ML_FINITE_10KM = 0.01100448121518104793434
 
 REL = 1e-13
+
+# a numpy overflow or invalid-value warning in a rate fails the test that raised it
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+FLOAT_FIELDS = ("vm", "transmittance", "excess_noise", "eta", "v_el", "beta", "lam", "eps_bar", "eps_pa",
+                "ml_eve_term")
 
 
 def params_20km(**kw):
@@ -175,6 +185,31 @@ class TestNoiseDecomposition:
         # a fractional or boolean block size once passed and gave a rate for no real block
         with pytest.raises(InvalidParameterError, match="must be an integer"):
             KeyRateParams(vm=1.0, transmittance=0.5, n=n, big_n=big_n)
+
+    @pytest.mark.parametrize("field", FLOAT_FIELDS)
+    @pytest.mark.parametrize("value", [True, False, "1", "0", None, 1 + 0j])
+    def test_float_fields_must_be_real_numbers(self, field, value):
+        # a bool once passed as 1 or 0, and a string or None was a raw TypeError
+        with pytest.raises(InvalidParameterError, match=f"{field} must be a real number"):
+            KeyRateParams(**{"vm": 1.0, "transmittance": 0.5, field: value})
+
+    @pytest.mark.parametrize("field", FLOAT_FIELDS)
+    def test_real_values_of_any_real_type_are_plain_floats(self, field):
+        # 0.5 is valid for every float field; numpy scalars once stayed numpy scalars
+        for value in (np.float64(0.5), np.float32(0.5), fractions.Fraction(1, 2)):
+            p = KeyRateParams(**{"vm": 1.0, "transmittance": 0.5, field: value})
+            assert type(getattr(p, field)) is float and getattr(p, field) == 0.5
+            assert p == KeyRateParams(**{"vm": 1.0, "transmittance": 0.5, field: 0.5})
+
+    def test_integer_values_are_plain_floats(self):
+        p = KeyRateParams(vm=2, transmittance=1, excess_noise=0, eta=1, v_el=0, ml_eve_term=0)
+        assert all(type(getattr(p, name)) is float for name in FLOAT_FIELDS)
+        assert rate_asymptotic(p) == rate_asymptotic(KeyRateParams(
+            vm=2.0, transmittance=1.0, excess_noise=0.0, eta=1.0, v_el=0.0, ml_eve_term=0.0))
+
+    def test_integer_past_the_float_range_rejected(self):
+        with pytest.raises(InvalidParameterError, match="vm must be finite"):
+            KeyRateParams(vm=10**400, transmittance=0.5)
 
     def test_integer_block_sizes_of_any_integer_type_are_plain_ints(self):
         p = KeyRateParams(vm=1.0, transmittance=0.5, n=np.int32(500), big_n=np.int64(1000))
@@ -510,6 +545,19 @@ class TestOptimizeVm:
             with pytest.raises(InvalidParameterError):
                 optimize_vm([10.0], params, **bad)
 
+    @pytest.mark.parametrize("bad, message", [
+        ({"v_lo": True}, "must be a real number"), ({"v_hi": True}, "must be a real number"),
+        ({"xtol": True}, "must be a real number"), ({"v_lo": "0.05"}, "must be a real number"),
+        ({"v_hi": None}, "must be a real number"), ({"xtol": "0.01"}, "must be a real number"),
+        ({"coarse_points": 2.5}, "must be an integer"), ({"coarse_points": "32"}, "must be an integer"),
+        ({"coarse_points": True}, "must be an integer"),
+    ])
+    def test_non_real_arguments_rejected(self, bad, message):
+        # v_lo=True once searched from 1.0, and a string or a fractional grid size was a raw TypeError
+        params = KeyRateParams(vm=1.0, transmittance=0.5)
+        with pytest.raises(InvalidParameterError, match=message):
+            optimize_vm([10.0], params, **bad)
+
     def test_xtol_below_the_float_resolution_returns(self):
         # the bracket stops shrinking at adjacent floats; a separate process bounds a hang
         code = ("from mlcvqkd.keyrate import KeyRateParams, optimize_vm; "
@@ -565,3 +613,112 @@ class TestZOncePerVm:
         covariance_z.cache_clear()
         cold = repr(outcome())  # repr tells every float bit apart, -0.0 from 0.0 included
         assert repr(outcome()) == cold
+
+
+DERIVED = ("v", "chi_line", "chi_het", "chi_tot")
+
+
+@st.composite
+def rate_points(draw):
+    """Valid KeyRateParams of every protocol, asymptotic or finite-size."""
+    block = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=10**9)))
+    return KeyRateParams(
+        vm=draw(st.floats(min_value=1e-3, max_value=100.0)),
+        transmittance=draw(st.floats(min_value=1e-5, max_value=1.0)),
+        excess_noise=draw(st.floats(min_value=0.0, max_value=0.3)),
+        eta=draw(st.floats(min_value=0.05, max_value=1.0)),
+        v_el=draw(st.floats(min_value=0.0, max_value=0.5)),
+        beta=draw(st.floats(min_value=0.5, max_value=1.0)),
+        lam=draw(st.floats(min_value=0.5, max_value=1.0)),
+        ml_eve_term=draw(st.floats(min_value=0.0, max_value=0.1)),
+        protocol=draw(st.sampled_from(list(Protocol))),
+        **({} if block is None else {"n": max(block // 2, 1), "big_n": block}),
+    )
+
+
+def state(p: KeyRateParams) -> str:
+    """Every field and channel term of p; repr tells every float bit apart."""
+    return repr(dataclasses.astuple(p) + tuple(getattr(p, name) for name in DERIVED))
+
+
+def rate_outcome(p: KeyRateParams) -> str:
+    try:
+        return repr(rate_asymptotic(p) if p.n is None else rate_finite(p))
+    except NumericalDomainError as exc:
+        return repr((type(exc), str(exc), exc.values))
+
+
+class TestAtCopies:
+    """params.at(...) is dataclasses.replace(params, ...) with only the replaced fields checked again."""
+
+    @given(p=rate_points(),
+           vm=st.one_of(st.floats(min_value=1e-3, max_value=100.0), st.integers(min_value=1, max_value=100)),
+           transmittance=st.floats(min_value=1e-5, max_value=1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_copy_equals_replace(self, p, vm, transmittance):
+        for change in ({"vm": vm}, {"transmittance": transmittance}, {"vm": vm, "transmittance": transmittance}):
+            got, want = p.at(**change), dataclasses.replace(p, **change)
+            assert got == want and state(got) == state(want)
+            assert rate_outcome(got) == rate_outcome(want)
+        assert state(p.at()) == state(p)
+
+    def test_derived_terms_are_not_fields(self):
+        p = params_20km()
+        assert not set(DERIVED) & set(dataclasses.asdict(p))
+        assert all(f"{name}=" not in repr(p) for name in DERIVED)
+        assert p.at(vm=0.5) == dataclasses.replace(p, vm=0.5) != p
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.chi_tot = 0.0
+
+    @pytest.mark.parametrize("field, value", [
+        *[(field, value) for field in ("vm", "transmittance")
+          for value in (0.0, -1.0, math.nan, math.inf, -math.inf, True, "1", np.float64(-1.0))],
+        ("transmittance", 1.5), ("transmittance", 1.0 + 1e-15),
+    ])
+    def test_bad_value_raises_the_constructor_error(self, field, value):
+        p = KeyRateParams(vm=1.0, transmittance=0.5, **FINITE_BLOCK)
+        with pytest.raises(InvalidParameterError) as want:
+            dataclasses.replace(p, **{field: value})
+        with pytest.raises(InvalidParameterError) as got:
+            p.at(**{field: value})
+        assert str(got.value) == str(want.value)
+
+    def test_copy_leaves_the_original(self):
+        p = params_20km()
+        before = state(p)
+        p.at(vm=5.0, transmittance=0.1)
+        assert state(p) == before
+
+
+class TestRateCallCounts:
+    """Every rate point is one call of the public rate_asymptotic or rate_finite.
+
+    The counts were measured before the points became copies, and the
+    benchmark's tracer times a key-rate layer through exactly these calls.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = collections.Counter()
+        for name in ("rate_asymptotic", "rate_finite"):
+            def counted(params, _rate=getattr(keyrate, name), _name=name):
+                counts[_name] += 1
+                return _rate(params)
+            for module in (keyrate, cli):
+                monkeypatch.setattr(module, name, counted)
+        return counts
+
+    def test_asymptotic_optimize(self, calls):
+        optimize_vm([10.0, 80.0], KeyRateParams(vm=1.0, transmittance=0.5, protocol="four-state"))
+        assert calls == {"rate_asymptotic": 83}
+
+    def test_finite_optimize(self, calls):
+        optimize_vm([10.0, 80.0], KeyRateParams(vm=1.0, transmittance=0.5, protocol="eight-state",
+                                                n=500_000, big_n=1_000_000))
+        assert calls == {"rate_finite": 86}
+
+    def test_keyrate_command(self, calls, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"keyrate": {"distances_km": list(range(151))}}))
+        assert cli.main(["--config", str(config), "--out", str(tmp_path), "keyrate"]) == 0
+        assert calls == {"rate_asymptotic": 151}
