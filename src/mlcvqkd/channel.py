@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, real_number
 
 DEFAULT_LOSS_DB_PER_KM = 0.2
 DEFAULT_SHOT_NOISE = 1.0
@@ -27,6 +27,8 @@ DEFAULT_SHOT_NOISE = 1.0
 
 def transmittance_from_distance(distance_km: float, loss_db_per_km: float = DEFAULT_LOSS_DB_PER_KM) -> float:
     """Power transmittance of `distance_km` of fiber at the given loss."""
+    distance_km = real_number("distance_km", distance_km)
+    loss_db_per_km = real_number("loss_db_per_km", loss_db_per_km)
     if distance_km < 0 or loss_db_per_km < 0:
         raise InvalidParameterError(
             f"distance and loss must be nonnegative, got {distance_km} km at {loss_db_per_km} dB/km"
@@ -49,10 +51,9 @@ class RandomSource:
         if _sequence is not None:
             self.sequence = _sequence
         else:
-            if not isinstance(seed, (int, np.integer)) or seed < 0:
+            if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
                 raise InvalidParameterError(f"seed must be a nonnegative integer, got {seed!r}")
             self.sequence = np.random.SeedSequence(int(seed))
-        self.seed = seed
         self.generator = np.random.Generator(np.random.PCG64(self.sequence))
 
     def split(self, n: int) -> list["RandomSource"]:
@@ -70,6 +71,9 @@ class RandomSource:
 @dataclass(frozen=True)
 class ChannelParams:
     """Channel configuration.
+
+    Every field must be a finite real number and is stored as a Python
+    float; a bool, a string or None is an InvalidParameterError.
 
     Attributes
     ----------
@@ -95,8 +99,10 @@ class ChannelParams:
 
     def __post_init__(self):
         for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise InvalidParameterError(f"channel {f.name} must be finite, got {getattr(self, f.name)}")
+            value = real_number(f"channel {f.name}", getattr(self, f.name))
+            if not math.isfinite(value):
+                raise InvalidParameterError(f"channel {f.name} must be finite, got {value}")
+            object.__setattr__(self, f.name, value)
         if self.excess_noise < 0:
             raise InvalidParameterError(f"excess noise must be nonnegative, got {self.excess_noise}")
         if self.shot_noise <= 0:

@@ -5,6 +5,8 @@ distinguish bad configuration from numerical breakdown from a rejected
 learning phase.
 """
 
+import numbers
+
 
 class MlcvqkdError(Exception):
     """Base class for all package errors."""
@@ -16,6 +18,19 @@ class InvalidParameterError(MlcvqkdError, ValueError):
     """A parameter violates its documented domain (bad V_m, k >= m, ...)."""
 
     exit_code = 2
+
+
+def real_number(name: str, value) -> float:
+    """A float parameter's value as a Python float; a bool or a non-real is
+    an InvalidParameterError, as is a real past the float range."""
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidParameterError(f"{name} must be finite, got {value!r}") from None
 
 
 class InvalidInputError(MlcvqkdError, ValueError):

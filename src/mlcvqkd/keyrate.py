@@ -42,10 +42,12 @@ from enum import Enum
 import numpy as np
 
 from .channel import transmittance_from_distance
-from .errors import InvalidParameterError, NumericalDomainError
+from .errors import InvalidParameterError, NumericalDomainError, real_number
 
 DIM_HB = 2
 _LAMBDA_TOLERANCE = 1e-9
+_COARSE_POINTS = 32  # optimize_vm's log-spaced grid over [v_lo, v_hi]
+_XTOL = 0.01  # optimize_vm's golden-section tolerance on V_m
 _GOLDEN_STEPS = 3100  # log(1.8e308 / 5e-324) / log(1 / 0.618): about 3020 steps
 
 
@@ -56,28 +58,15 @@ class Protocol(str, Enum):
     ML = "ml"
 
 
-def _real(name: str, value) -> float:
-    """A float field's value as a Python float; a bool or a non-real is an
-    InvalidParameterError, as is a real past the float range."""
-    if type(value) is float:
-        return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise InvalidParameterError(f"{name} must be finite, got {value!r}") from None
-
-
 def _checked_vm(value) -> float:
-    vm = _real("vm", value)
+    vm = real_number("vm", value)
     if not 0 < vm < math.inf:
         raise InvalidParameterError(f"modulation variance must be finite and positive, got {vm}")
     return vm
 
 
 def _checked_transmittance(value) -> float:
-    t = _real("transmittance", value)
+    t = real_number("transmittance", value)
     if not 0 < t <= 1:
         raise InvalidParameterError(f"transmittance must be in (0, 1], got {t}")
     return t
@@ -151,7 +140,7 @@ class KeyRateParams:
         object.__setattr__(self, "vm", _checked_vm(self.vm))
         object.__setattr__(self, "transmittance", _checked_transmittance(self.transmittance))
         for name in ("excess_noise", "eta", "v_el", "beta", "lam", "eps_bar", "eps_pa", "ml_eve_term"):
-            object.__setattr__(self, name, _real(name, getattr(self, name)))
+            object.__setattr__(self, name, real_number(name, getattr(self, name)))
         if not (math.isfinite(self.excess_noise) and math.isfinite(self.v_el)) \
                 or self.excess_noise < 0 or self.v_el < 0:
             raise InvalidParameterError(
@@ -198,10 +187,6 @@ class KeyRateParams:
         point = object.__new__(type(self))
         object.__setattr__(point, "__dict__", fields)
         return point
-
-    @classmethod
-    def at_distance(cls, distance_km: float, **kwargs) -> "KeyRateParams":
-        return cls(transmittance=transmittance_from_distance(distance_km), **kwargs)
 
 
 @dataclass(frozen=True)
@@ -392,15 +377,21 @@ def delta_n(params: KeyRateParams) -> float:
     return (2 * DIM_HB + 3) * math.sqrt(math.log2(2.0 / params.eps_bar) / n) + (2.0 / n) * math.log2(1.0 / params.eps_pa)
 
 
-def rate_asymptotic(params: KeyRateParams) -> RateResult:
-    """K = beta I - chi_BE, or beta Lambda I - chi_E for the ML protocol."""
+def _rate(params: KeyRateParams, finite: bool) -> RateResult:
+    """The one body of rate_asymptotic and rate_finite."""
+    d = delta_n(params) if finite else None
     i_ab = mutual_information(params)
     if params.protocol is Protocol.ML:
-        key = params.beta * params.lam * i_ab - params.ml_eve_term
-        return RateResult(params.protocol, key, i_ab, params.ml_eve_term)
-    chi, _, _ = holevo_chi_be(params)
-    key = params.beta * i_ab - chi
-    return RateResult(params.protocol, key, i_ab, chi)
+        eve, gain = params.ml_eve_term, params.beta * params.lam * i_ab
+    else:
+        eve, gain = holevo_chi_be(params)[0], params.beta * i_ab
+    key = gain - eve if d is None else params.n / params.big_n * (gain - eve - d)
+    return RateResult(params.protocol, key, i_ab, eve, delta_n=d)
+
+
+def rate_asymptotic(params: KeyRateParams) -> RateResult:
+    """K = beta I - chi_BE, or beta Lambda I - chi_E for the ML protocol."""
+    return _rate(params, finite=False)
 
 
 def rate_finite(params: KeyRateParams) -> RateResult:
@@ -411,15 +402,7 @@ def rate_finite(params: KeyRateParams) -> RateResult:
     widening of T and xi); the ML protocol charges the pluggable
     eavesdropper term and scales I by Lambda.
     """
-    d = delta_n(params)
-    ratio = params.n / params.big_n
-    i_ab = mutual_information(params)
-    if params.protocol is Protocol.ML:
-        key = ratio * (params.beta * params.lam * i_ab - params.ml_eve_term - d)
-        return RateResult(params.protocol, key, i_ab, params.ml_eve_term, delta_n=d)
-    chi, _, _ = holevo_chi_be(params)
-    key = ratio * (params.beta * i_ab - chi - d)
-    return RateResult(params.protocol, key, i_ab, chi, delta_n=d)
+    return _rate(params, finite=True)
 
 
 @dataclass(frozen=True)
@@ -457,28 +440,24 @@ def _golden_section_max(f, lo: float, hi: float, xtol: float) -> float:
     return (a + b) / 2.0
 
 
-def optimize_vm(distances_km, params: KeyRateParams, v_lo: float = 0.05, v_hi: float = 20.0,
-                coarse_points: int = 32, xtol: float = 0.01) -> list[OptimalVariance]:
+def optimize_vm(distances_km, params: KeyRateParams, v_lo: float = 0.05,
+                v_hi: float = 20.0) -> list[OptimalVariance]:
     """Per-distance argmax of the key rate over modulation variance.
 
     The rate is that of params.protocol, finite-size when params carries
     n and big_n. A 32-point log-spaced coarse grid locates the basin of the
     optimum (the rate surface is near-flat around it at long distance),
     then golden-section search refines within the bracketing grid interval
-    to xtol. Distances where even the best rate is nonpositive are flagged.
+    to 0.01. Distances where even the best rate is nonpositive are flagged.
     """
-    v_lo, v_hi, xtol = _real("v_lo", v_lo), _real("v_hi", v_hi), _real("xtol", xtol)
+    v_lo, v_hi = real_number("v_lo", v_lo), real_number("v_hi", v_hi)
     if not (math.isfinite(v_lo) and math.isfinite(v_hi) and 0 < v_lo < v_hi):
         raise InvalidParameterError(f"need finite 0 < v_lo < v_hi, got [{v_lo}, {v_hi}]")
-    if not (math.isfinite(xtol) and xtol > 0):
-        raise InvalidParameterError(f"xtol must be finite and positive, got {xtol}")
-    if isinstance(coarse_points, bool) or not isinstance(coarse_points, numbers.Integral) or coarse_points < 2:
-        raise InvalidParameterError(f"coarse_points must be an integer of at least 2, got {coarse_points!r}")
     rate_of = rate_asymptotic if params.n is None else rate_finite
 
     results = []
     # Python floats: numpy scalars would make every rate slower and warn on overflow
-    grid = [float(v) for v in np.geomspace(v_lo, v_hi, coarse_points)]
+    grid = [float(v) for v in np.geomspace(v_lo, v_hi, _COARSE_POINTS)]
     for distance in distances_km:
         point = params.at(transmittance=transmittance_from_distance(distance))
 
@@ -489,7 +468,7 @@ def optimize_vm(distances_km, params: KeyRateParams, v_lo: float = 0.05, v_hi: f
         best = int(np.argmax(coarse))
         lo = grid[max(best - 1, 0)]
         hi = grid[min(best + 1, len(grid) - 1)]
-        vm_opt = _golden_section_max(rate, lo, hi, xtol)
+        vm_opt = _golden_section_max(rate, lo, hi, _XTOL)
         key = rate(vm_opt)
         results.append(OptimalVariance(
             distance_km=float(distance),

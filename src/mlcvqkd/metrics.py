@@ -3,9 +3,10 @@
 Precision, recall and false-positive rate are computed per label from the
 TP/FP/FN/TN partition and macro-averaged (unweighted label mean). Average
 precision scores how well each sample's true labels outrank its false
-ones. ROC curves sweep the decision threshold over a label's scores; the
-area under the curve, averaged over labels, is the classifier efficiency
-Lambda used by the key-rate formulas.
+ones. ROC curves sweep the decision threshold over a label's scores and
+the area under each is averaged over labels. That average gates state
+learning; no code path carries it into a key rate, which reads the
+classifier efficiency Lambda from KeyRateParams.lam (0.927 unless set).
 
 Conventions, chosen where the defining ratios are 0/0 and documented here
 because synthetic fixtures hit them:
@@ -194,21 +195,20 @@ class EvaluationReport:
 
 
 def evaluate(scores: np.ndarray, pred_flags: np.ndarray, true_flags: np.ndarray,
-             erased: np.ndarray | None = None) -> EvaluationReport:
+             erased: np.ndarray) -> EvaluationReport:
     """Build the full report from scores, thresholded flags, and truths.
 
-    `erased` marks samples whose predicted label set decoded to no state;
-    their prediction flags are zeroed for Prec/Rec/FPR.
+    `erased`, one flag per sample, marks samples whose predicted label set
+    decoded to no state; their prediction flags are zeroed for Prec/Rec/FPR.
     """
     scores = np.asarray(scores, dtype=float)
     pred = _as_flag_matrix(pred_flags, "predictions")
     true = _as_flag_matrix(true_flags, "truths")
     n = true.shape[0]
 
-    if erased is None:
-        erased = np.zeros(n, dtype=bool)
-    else:
-        erased = np.asarray(erased, dtype=bool)
+    erased = np.asarray(erased, dtype=bool)
+    if erased.shape != (n,):
+        raise InvalidInputError(f"erasure flags must have shape ({n},), got {erased.shape}")
     effective_pred = pred & ~erased[:, None]
 
     rates = prf(effective_pred, true)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import classifier as qmlc
 from .channel import ChannelParams, RandomSource, transmit_batch
-from .errors import InvalidInputError, InvalidParameterError, LearningRejectedError
+from .errors import InvalidInputError, InvalidParameterError, LearningRejectedError, real_number
 from .features import extract_batch, filter_features, resolve_threshold
 from .metrics import EvaluationReport, evaluate
 from .statespace import (
@@ -46,7 +46,12 @@ def _generated_size(training_size: int, testing_size: int) -> int:
 
 @dataclass(frozen=True)
 class SessionConfig:
-    """Configuration of one learning-plus-prediction session."""
+    """Configuration of one learning-plus-prediction session.
+
+    The float fields (and the filter fields when not None) must be real
+    numbers and are stored as Python floats; a bool or a string is an
+    InvalidParameterError.
+    """
 
     kind: ModulationKind = ModulationKind.PSK8
     vm: float = 50.0
@@ -65,6 +70,11 @@ class SessionConfig:
             object.__setattr__(self, "kind", ModulationKind(self.kind))
         except ValueError:
             raise InvalidParameterError(f"unknown modulation kind {self.kind!r}") from None
+        object.__setattr__(self, "vm", real_number("vm", self.vm))
+        object.__setattr__(self, "auc_threshold", real_number("auc_threshold", self.auc_threshold))
+        for name in ("filter_quantile", "filter_threshold"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, real_number(name, getattr(self, name)))
         if not 0 < self.vm < math.inf:
             raise InvalidParameterError(f"modulation variance must be finite and positive, got {self.vm}")
         for name in ("training_size", "testing_size", "prediction_block"):
@@ -277,7 +287,7 @@ class AttackScenario:
 DEMO_SENT_STATES = (4, 7, 2)
 
 
-def intercept_resend_demo(sent: tuple[int, ...] = DEMO_SENT_STATES) -> list[AttackScenario]:
+def intercept_resend_demo() -> list[AttackScenario]:
     """Replay the intercept-resend attack under three encoding regimes.
 
     Eve intercepts every state, measures it perfectly, and resends it
@@ -294,9 +304,9 @@ def intercept_resend_demo(sent: tuple[int, ...] = DEMO_SENT_STATES) -> list[Atta
     out = []
     for name, active_id, eve_id in scenarios:
         active, eve_rule = NAMED_RULES[active_id], NAMED_RULES[eve_id]
-        alice = tuple(encode(active, k) for k in sent)
-        eve = tuple(encode(eve_rule, k) for k in sent)
-        bob = tuple(encode(active, k) for k in sent)
+        alice = tuple(encode(active, k) for k in DEMO_SENT_STATES)
+        eve = tuple(encode(eve_rule, k) for k in DEMO_SENT_STATES)
+        bob = tuple(encode(active, k) for k in DEMO_SENT_STATES)
         out.append(AttackScenario(
             name=name, active_rule=active_id, eve_rule=eve_id,
             alice=alice, eve=eve, bob=bob,
@@ -304,11 +314,11 @@ def intercept_resend_demo(sent: tuple[int, ...] = DEMO_SENT_STATES) -> list[Atta
     return out
 
 
-def format_attack_table(scenarios: list[AttackScenario], sent: tuple[int, ...] = DEMO_SENT_STATES) -> str:
+def format_attack_table(scenarios: list[AttackScenario]) -> str:
     """Text table of the demo: one row per scenario, three strings per party."""
-    header_states = "  ".join(f"a{k}" for k in sent)
+    header_states = "  ".join(f"a{k}" for k in DEMO_SENT_STATES)
     lines = [
-        f"{'scenario':<48}  {'Alice':<{max(17, len(header_states))}}  {'Eve':<17}  {'Bob':<17}",
+        f"{'scenario':<48}  {'Alice':<17}  {'Eve':<17}  {'Bob':<17}",
         f"{'':<48}  {header_states:<17}  {header_states:<17}  {header_states:<17}",
     ]
     for sc in scenarios:

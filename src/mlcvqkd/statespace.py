@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, real_number
 
 N_LABELS = 4
 _FLAG_WEIGHTS = 1 << np.arange(N_LABELS)  # (1, 2, 4, 8)
@@ -73,9 +73,10 @@ class ModulationScheme:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", ModulationKind(self.kind))
-        vm = self.modulation_variance
+        vm = real_number("modulation_variance", self.modulation_variance)
         if not (vm > 0 and math.isfinite(vm)):
             raise InvalidParameterError(f"modulation variance must be positive, got {vm}")
+        object.__setattr__(self, "modulation_variance", vm)
         octants = _OCTANT_COS_SIN[::2] if self.kind is ModulationKind.QPSK else _OCTANT_COS_SIN
         points = math.sqrt(vm / 2.0) * octants
         flags = quadrant_flags(points)

@@ -16,7 +16,9 @@ label-set scan is the package's earlier flags-to-state mapping, kept as
 the reference for the scheme's decode table. The per-point optimal-V_m
 search and the per-row key-rate table are the key-rate loops that
 recomputed Z and rebuilt the parameters for every point, kept as the
-reference for the loops that compute both once per V_m.
+reference for the loops that compute both once per V_m. The two
+separate key-rate bodies are the package's earlier rate_asymptotic and
+rate_finite, kept as the reference for the one body they now share.
 """
 
 from __future__ import annotations
@@ -29,7 +31,17 @@ import numpy as np
 from mlcvqkd.channel import transmittance_from_distance
 from mlcvqkd.cli import _config_values, _keyrate_params
 from mlcvqkd.errors import InvalidParameterError
-from mlcvqkd.keyrate import OptimalVariance, Protocol, _golden_section_max, rate_asymptotic, rate_finite
+from mlcvqkd.keyrate import (
+    OptimalVariance,
+    Protocol,
+    RateResult,
+    _golden_section_max,
+    delta_n,
+    holevo_chi_be,
+    mutual_information,
+    rate_asymptotic,
+    rate_finite,
+)
 
 
 class BruteForceMultiLabelKnn:
@@ -364,3 +376,29 @@ def per_row_keyrate_rows(section):
             result.key_rate, protocol.value,
         ])
     return rows
+
+
+def separate_rate_asymptotic(params):
+    """The asymptotic rate with its own ML and Holevo branches: the
+    package's earlier rate_asymptotic, kept verbatim."""
+    i_ab = mutual_information(params)
+    if params.protocol is Protocol.ML:
+        key = params.beta * params.lam * i_ab - params.ml_eve_term
+        return RateResult(params.protocol, key, i_ab, params.ml_eve_term)
+    chi, _, _ = holevo_chi_be(params)
+    key = params.beta * i_ab - chi
+    return RateResult(params.protocol, key, i_ab, chi)
+
+
+def separate_rate_finite(params):
+    """The finite-size rate with its own ML and Holevo branches: the
+    package's earlier rate_finite, kept verbatim."""
+    d = delta_n(params)
+    ratio = params.n / params.big_n
+    i_ab = mutual_information(params)
+    if params.protocol is Protocol.ML:
+        key = ratio * (params.beta * params.lam * i_ab - params.ml_eve_term - d)
+        return RateResult(params.protocol, key, i_ab, params.ml_eve_term, delta_n=d)
+    chi, _, _ = holevo_chi_be(params)
+    key = ratio * (params.beta * i_ab - chi - d)
+    return RateResult(params.protocol, key, i_ab, chi, delta_n=d)

@@ -224,8 +224,8 @@ def test_precision_recall_target_met_on_a_shorter_channel():
 
 def test_criterion_5_finite_size_positivity():
     start = time.perf_counter()
-    params = KeyRateParams.at_distance(
-        10.0, vm=0.35, excess_noise=0.01, eta=0.6, v_el=0.05, beta=0.98,
+    params = KeyRateParams(
+        vm=0.35, transmittance=transmittance_from_distance(10.0), excess_noise=0.01, eta=0.6, v_el=0.05, beta=0.98,
         lam=0.927, protocol=Protocol.ML, n=500_000, big_n=1_000_000, ml_eve_term=0.0,
     )
     result = rate_finite(params)
@@ -291,7 +291,7 @@ def test_criterion_7_numerical_identities():
     lam5_ok = True
     for protocol in (Protocol.FOUR_STATE, Protocol.EIGHT_STATE, Protocol.GAUSSIAN):
         for distance in (5.0, 20.0, 50.0, 100.0):
-            p = KeyRateParams.at_distance(distance, vm=0.35, protocol=protocol)
+            p = KeyRateParams(vm=0.35, transmittance=transmittance_from_distance(distance), protocol=protocol)
             lams = symplectic_eigenvalues(p, covariance_z(protocol, p.vm))
             lam5_ok = lam5_ok and lams[4] == 1.0
 

@@ -33,6 +33,13 @@ class TestTransmittance:
         with pytest.raises(InvalidParameterError):
             transmittance_from_distance(-1.0)
 
+    @pytest.mark.parametrize("name", ["distance_km", "loss_db_per_km"])
+    @pytest.mark.parametrize("value", [True, "10", None])
+    def test_non_real_arguments_rejected(self, name, value):
+        # True once gave the transmittance of 1 km, and a string or None was a raw TypeError
+        with pytest.raises(InvalidParameterError, match=f"{name} must be a real number"):
+            transmittance_from_distance(**{"distance_km": 10.0, name: value})
+
 
 class TestChannelParams:
     def test_noise_variance_combines_shot_and_excess(self):
@@ -59,6 +66,20 @@ class TestChannelParams:
     def test_non_finite_value_rejected(self, field, value):
         with pytest.raises(InvalidParameterError, match=f"channel {field} must be finite"):
             ChannelParams(**{"distance_km": 1.0, field: value})
+
+    @pytest.mark.parametrize("field", [
+        "distance_km", "excess_noise", "phase_drift", "loss_db_per_km", "shot_noise",
+    ])
+    @pytest.mark.parametrize("value", [True, "1", None])
+    def test_non_real_value_rejected(self, field, value):
+        # a bool once passed as 1, and a string or None was a raw TypeError
+        with pytest.raises(InvalidParameterError, match=f"channel {field} must be a real number"):
+            ChannelParams(**{"distance_km": 1.0, field: value})
+
+    def test_real_values_are_plain_floats(self):
+        params = ChannelParams(distance_km=np.float32(20.0), excess_noise=0, loss_db_per_km=np.int64(1))
+        assert [type(getattr(params, f)) for f in ("distance_km", "excess_noise", "loss_db_per_km")] == [float] * 3
+        assert params == ChannelParams(distance_km=20.0, excess_noise=0.0, loss_db_per_km=1.0)
 
 
 class TestDeterminism:
@@ -89,6 +110,8 @@ class TestDeterminism:
             RandomSource(-5)
         with pytest.raises(InvalidParameterError):
             RandomSource("abc")
+        with pytest.raises(InvalidParameterError):
+            RandomSource(True)  # once seeded as 1
 
 
 class TestTransmitGeometry:

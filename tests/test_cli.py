@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlcvqkd.channel import transmittance_from_distance
 from mlcvqkd.cli import (
     DEFAULT_CONFIG,
     _keyrate_params,
@@ -461,7 +462,8 @@ class TestKeyrate:
         assert main(["--config", path, "--out", str(out), "keyrate"]) == 0
         rows = read_csv(out / "keyrate.csv")
         assert len(rows) == 3
-        want = rate_asymptotic(KeyRateParams.at_distance(20.0, vm=0.35, protocol=Protocol.EIGHT_STATE))
+        want = rate_asymptotic(KeyRateParams(vm=0.35, transmittance=transmittance_from_distance(20.0),
+                                             protocol=Protocol.EIGHT_STATE))
         got = dict(zip(rows[0], rows[2]))
         assert float(got["key_rate"]) == pytest.approx(want.key_rate, rel=1e-15)
         assert float(got["holevo_term"]) == pytest.approx(want.holevo_term, rel=1e-15)
@@ -736,7 +738,8 @@ class TestAttackDemo:
 def rate_finite_reference() -> float:
     from mlcvqkd.keyrate import rate_finite
 
-    params = KeyRateParams.at_distance(
-        10.0, vm=0.35, protocol=Protocol.ML, lam=0.927, n=500_000, big_n=1_000_000
+    params = KeyRateParams(
+        vm=0.35, transmittance=transmittance_from_distance(10.0), protocol=Protocol.ML, lam=0.927,
+        n=500_000, big_n=1_000_000,
     )
     return rate_finite(params).key_rate

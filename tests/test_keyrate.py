@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import fractions
+import itertools
 import json
 import math
 import os
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlcvqkd import cli, keyrate
+from mlcvqkd.channel import transmittance_from_distance
 from mlcvqkd.errors import InvalidParameterError, NumericalDomainError
 from mlcvqkd.keyrate import (
     KeyRateParams,
@@ -35,6 +37,8 @@ from oracles import (
     correlation_from_weights,
     covariance_matrix_rate,
     per_point_optimize_vm,
+    separate_rate_asymptotic,
+    separate_rate_finite,
 )
 
 # values frozen from 50-digit evaluations of the same formulas; the
@@ -93,7 +97,7 @@ FLOAT_FIELDS = ("vm", "transmittance", "excess_noise", "eta", "v_el", "beta", "l
 def params_20km(**kw):
     defaults = dict(vm=0.35, excess_noise=0.01, eta=0.6, v_el=0.05, beta=0.98)
     defaults.update(kw)
-    return KeyRateParams.at_distance(20.0, **defaults)
+    return KeyRateParams(transmittance=transmittance_from_distance(20.0), **defaults)
 
 
 class TestEntropyG:
@@ -145,10 +149,6 @@ class TestNoiseDecomposition:
         p = KeyRateParams(vm=1.0, transmittance=t, excess_noise=xi, eta=eta, v_el=v_el)
         closed = xi - 1.0 + 2.0 * (1.0 + v_el) / (eta * t)
         assert p.chi_tot == pytest.approx(closed, rel=1e-12, abs=1e-12)
-
-    def test_at_distance_uses_fiber_loss_law(self):
-        p = KeyRateParams.at_distance(20.0, vm=0.35)
-        assert p.transmittance == pytest.approx(10.0 ** -0.4)
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -221,7 +221,7 @@ class TestNoiseDecomposition:
 class TestMutualInformation:
     def test_frozen_values(self):
         assert mutual_information(params_20km()) == pytest.approx(I_20KM, rel=REL)
-        p10 = KeyRateParams.at_distance(10.0, vm=0.35)
+        p10 = KeyRateParams(vm=0.35, transmittance=transmittance_from_distance(10.0))
         assert mutual_information(p10) == pytest.approx(I_10KM, rel=REL)
 
     def test_direct_formula(self):
@@ -404,7 +404,8 @@ class TestSymplecticSpectrum:
     def test_all_eigenvalues_physical(self):
         for distance in (5.0, 20.0, 50.0, 100.0):
             for vm in (0.1, 0.35, 5.0, 50.0):
-                p = KeyRateParams.at_distance(distance, vm=vm, protocol=Protocol.EIGHT_STATE)
+                p = KeyRateParams(vm=vm, transmittance=transmittance_from_distance(distance),
+                                  protocol=Protocol.EIGHT_STATE)
                 _, _, lams = holevo_chi_be(p)
                 assert all(l >= 1.0 for l in lams)
 
@@ -452,8 +453,9 @@ class TestRates:
             delta_n(params_20km())
 
     def test_frozen_finite_size_ml_rate(self):
-        p = KeyRateParams.at_distance(
-            10.0, vm=0.35, protocol=Protocol.ML, lam=0.927, n=500_000, big_n=1_000_000
+        p = KeyRateParams(
+            vm=0.35, transmittance=transmittance_from_distance(10.0), protocol=Protocol.ML, lam=0.927,
+            n=500_000, big_n=1_000_000,
         )
         result = rate_finite(p)
         assert result.key_rate == pytest.approx(K_ML_FINITE_10KM, rel=REL)
@@ -476,7 +478,8 @@ class TestRates:
 
     def test_rates_decay_with_distance(self):
         rates = [
-            rate_asymptotic(KeyRateParams.at_distance(d, vm=0.35, protocol=Protocol.EIGHT_STATE)).key_rate
+            rate_asymptotic(KeyRateParams(vm=0.35, transmittance=transmittance_from_distance(d),
+                                          protocol=Protocol.EIGHT_STATE)).key_rate
             for d in (5.0, 20.0, 50.0, 80.0)
         ]
         assert rates == sorted(rates, reverse=True)
@@ -499,8 +502,8 @@ class TestRates:
         (5.0, 10.0, 0.0, 0.5, 0.0),
     ])
     def test_matches_covariance_matrix_oracle(self, protocol, n_states, vm, distance, xi, eta, v_el):
-        p = KeyRateParams.at_distance(distance, vm=vm, excess_noise=xi, eta=eta, v_el=v_el,
-                                      beta=0.95, protocol=protocol)
+        p = KeyRateParams(vm=vm, transmittance=transmittance_from_distance(distance), excess_noise=xi, eta=eta,
+                          v_el=v_el, beta=0.95, protocol=protocol)
         want = covariance_matrix_rate(vm, p.transmittance, xi, eta, v_el, 0.95, n_states)
         assert rate_asymptotic(p).key_rate == pytest.approx(want, rel=1e-9, abs=1e-12)
 
@@ -537,38 +540,39 @@ class TestOptimizeVm:
         params = KeyRateParams(vm=1.0, transmittance=0.5)
         with pytest.raises(InvalidParameterError):
             optimize_vm([10.0], params, v_lo=2.0, v_hi=1.0)
-        # an infinite bound was a math domain error, xtol = 0 never returned,
-        # and fewer than two grid points was a numpy error
-        for bad in ({"v_hi": math.inf}, {"v_hi": math.nan}, {"v_lo": math.nan}, {"v_lo": -math.inf},
-                    {"xtol": 0.0}, {"xtol": -0.01}, {"xtol": math.nan}, {"xtol": math.inf},
-                    {"coarse_points": 1}, {"coarse_points": 0}):
+        # an infinite bound was a math domain error
+        for bad in ({"v_hi": math.inf}, {"v_hi": math.nan}, {"v_lo": math.nan}, {"v_lo": -math.inf}):
             with pytest.raises(InvalidParameterError):
                 optimize_vm([10.0], params, **bad)
 
-    @pytest.mark.parametrize("bad, message", [
-        ({"v_lo": True}, "must be a real number"), ({"v_hi": True}, "must be a real number"),
-        ({"xtol": True}, "must be a real number"), ({"v_lo": "0.05"}, "must be a real number"),
-        ({"v_hi": None}, "must be a real number"), ({"xtol": "0.01"}, "must be a real number"),
-        ({"coarse_points": 2.5}, "must be an integer"), ({"coarse_points": "32"}, "must be an integer"),
-        ({"coarse_points": True}, "must be an integer"),
-    ])
-    def test_non_real_arguments_rejected(self, bad, message):
-        # v_lo=True once searched from 1.0, and a string or a fractional grid size was a raw TypeError
+    @pytest.mark.parametrize("bad", [{"v_lo": True}, {"v_hi": True}, {"v_lo": "0.05"}, {"v_hi": None}])
+    def test_non_real_arguments_rejected(self, bad):
+        # v_lo=True once searched from 1.0, and a string was a raw TypeError
         params = KeyRateParams(vm=1.0, transmittance=0.5)
-        with pytest.raises(InvalidParameterError, match=message):
+        with pytest.raises(InvalidParameterError, match="must be a real number"):
             optimize_vm([10.0], params, **bad)
 
+    @pytest.mark.parametrize("distance", [True, "10", None])
+    def test_non_real_distances_rejected(self, distance):
+        # True once gave a row for 1.0 km, and a string or None was a raw TypeError
+        params = KeyRateParams(vm=1.0, transmittance=0.5)
+        with pytest.raises(InvalidParameterError, match="distance_km must be a real number"):
+            optimize_vm([distance], params)
+
     def test_xtol_below_the_float_resolution_returns(self):
-        # the bracket stops shrinking at adjacent floats; a separate process bounds a hang
-        code = ("from mlcvqkd.keyrate import KeyRateParams, optimize_vm; "
-                "params = KeyRateParams(vm=1.0, transmittance=0.5); "
-                "fine = optimize_vm([10.0], params, xtol=1e-20)[0]; "
-                "coarse = optimize_vm([10.0], params)[0]; "
-                "print(abs(fine.vm - coarse.vm) < 0.01, fine.key_rate >= coarse.key_rate)")
+        # the ML rate rises with V_m, so the search closes on 1e18, where adjacent floats are 128 apart and
+        # the 0.01 tolerance is out of reach: the step cap ends it; a separate process bounds a hang
+        code = ("from mlcvqkd import keyrate; "
+                "calls = []; rate = keyrate.rate_asymptotic; "
+                "keyrate.rate_asymptotic = lambda p: calls.append(p) or rate(p); "
+                "params = keyrate.KeyRateParams(vm=1.0, transmittance=0.5, protocol='ml'); "
+                "best = keyrate.optimize_vm([10.0], params, v_lo=1e17, v_hi=1e18)[0]; "
+                "print(len(calls), 9e17 < best.vm <= 1e18, best.key_rate > 0)")
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
                                 env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
         assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == ["True", "True"]
+        # the coarse grid, the first two golden-section points, one per capped step and the optimum
+        assert result.stdout.split() == [str(32 + 2 + keyrate._GOLDEN_STEPS + 1), "True", "True"]
 
 
 FINITE_BLOCK = {"n": 500_000, "big_n": 1_000_000}
@@ -722,3 +726,41 @@ class TestRateCallCounts:
         config.write_text(json.dumps({"keyrate": {"distances_km": list(range(151))}}))
         assert cli.main(["--config", str(config), "--out", str(tmp_path), "keyrate"]) == 0
         assert calls == {"rate_asymptotic": 151}
+
+
+RATE_BODIES = {False: (rate_asymptotic, separate_rate_asymptotic), True: (rate_finite, separate_rate_finite)}
+
+
+def rate_or_error(rate, p: KeyRateParams):
+    try:
+        return rate(p)
+    except (InvalidParameterError, NumericalDomainError) as exc:
+        return type(exc), str(exc)
+
+
+class TestOneRateBody:
+    """rate_asymptotic and rate_finite share one body; it returns, bit for bit, what their separate bodies did."""
+
+    @pytest.mark.parametrize("finite", [False, True])
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_equals_the_separate_bodies_on_a_grid(self, protocol, finite):
+        rate, separate = RATE_BODIES[finite]
+        results = collections.Counter()
+        for vm, t, xi, eta, v_el, beta, lam, eve in itertools.product(
+                (0.05, 0.35, 5.0, 50.0), (1.0, 0.5, 0.01, 1e-5), (0.0, 0.01, 0.2), (0.05, 0.6, 1.0),
+                (0.0, 0.05), (0.9, 0.98), (0.5, 0.927), (0.0, 0.03)):
+            p = KeyRateParams(vm=vm, transmittance=t, excess_noise=xi, eta=eta, v_el=v_el, beta=beta, lam=lam,
+                              ml_eve_term=eve, protocol=protocol, **(FINITE_BLOCK if finite else {}))
+            got, want = rate_or_error(rate, p), rate_or_error(separate, p)
+            # == on every field, and repr, which also tells -0.0 from 0.0
+            assert got == want and repr(got) == repr(want), p
+            results[type(got) is keyrate.RateResult and got.key_rate > 0] += 1
+        assert results[True] and results[False]  # the grid spans positive and nonpositive rates
+
+    @given(p=rate_points())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_separate_bodies_on_drawn_points(self, p):
+        # a point without n and big_n gives the finite rate's "needs n and big_n" error
+        for rate, separate in RATE_BODIES.values():
+            got, want = rate_or_error(rate, p), rate_or_error(separate, p)
+            assert got == want and repr(got) == repr(want)

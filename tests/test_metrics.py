@@ -220,7 +220,7 @@ class TestEvaluate:
 
     def test_report_on_clean_fixture(self):
         scores, pred, true = self._fixture()
-        report = evaluate(scores, pred, true)
+        report = evaluate(scores, pred, true, np.zeros(len(true), bool))
         assert report.n_samples == 5
         assert report.n_erasures == 0
         assert report.erasure_rate == 0.0
@@ -245,11 +245,21 @@ class TestEvaluate:
         assert report.average_precision == 1.0
         assert report.average_auc == 1.0
 
+    def test_erasure_flags_are_required_one_per_sample(self):
+        # without them every sample decoding to no state was once scored as a prediction
+        scores, pred, true = self._fixture()
+        with pytest.raises(TypeError):
+            evaluate(scores, pred, true)
+        # one flag broadcast over five samples once zeroed every prediction and counted one erasure
+        for erased in (np.ones(1, bool), np.zeros(4, bool), np.zeros((5, 1), bool), False):
+            with pytest.raises(InvalidInputError, match="erasure flags must have shape"):
+                evaluate(scores, pred, true, erased)
+
     def test_single_class_labels_reported_and_excluded_from_mean(self):
         scores = np.array([[0.9, 0.4], [0.1, 0.6], [0.8, 0.5]])
         pred = scores > 0.5
         true = np.array([[1, 0], [0, 0], [0, 0]], dtype=bool)  # label 2 never true
-        report = evaluate(scores, pred, true)
+        report = evaluate(scores, pred, true, np.zeros(len(true), bool))
         assert report.undefined_auc_labels == [2]
         assert math.isnan(report.per_label_auc[1])
         assert report.average_auc == report.per_label_auc[0] == 1.0
@@ -258,13 +268,13 @@ class TestEvaluate:
         scores = np.ones((2, 2))
         true = np.ones((2, 2), dtype=bool)
         with pytest.raises(InvalidInputError):
-            evaluate(scores, scores > 0.5, true)
+            evaluate(scores, scores > 0.5, true, np.zeros(len(true), bool))
 
     def test_json_export_is_serializable(self):
         import json
 
         scores, pred, true = self._fixture()
-        doc = evaluate(scores, pred, true).to_json_dict()
+        doc = evaluate(scores, pred, true, np.zeros(len(true), bool)).to_json_dict()
         parsed = json.loads(json.dumps(doc))
         assert parsed["macro_precision"] == 1.0
         assert len(parsed["roc_points"]) == 4

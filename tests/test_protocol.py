@@ -69,13 +69,9 @@ class TestInterceptResendDemo:
         assert scenarios[1].eve != scenarios[1].alice
         assert scenarios[2].eve != scenarios[2].alice
 
-    def test_custom_states(self):
-        sc = intercept_resend_demo((1, 8))[0]
-        assert sc.alice == ("000", "111")
-
     def test_table_contains_every_string(self):
         table = format_attack_table(intercept_resend_demo())
-        for token in ("011 110 001", "100 001 110", "1 1011 10101"):
+        for token in ("a4  a7  a2", "011 110 001", "100 001 110", "1 1011 10101"):
             assert token in table
         assert table.count("\n") == 4  # two header lines, three scenarios
 
@@ -291,6 +287,19 @@ class TestSessionConfig:
     def test_modulation_variance_must_be_finite_and_positive(self, vm):
         with pytest.raises(InvalidParameterError, match="modulation variance"):
             quiet_config(vm=vm)
+
+    @pytest.mark.parametrize("name", ["vm", "auc_threshold", "filter_quantile", "filter_threshold"])
+    @pytest.mark.parametrize("value", [True, "x"])
+    def test_float_fields_must_be_real_numbers(self, name, value):
+        # a bool once passed as 1, a string was a raw TypeError or, for the filter, passed until learning
+        with pytest.raises(InvalidParameterError, match=f"{name} must be a real number"):
+            quiet_config(**{name: value})
+
+    def test_float_fields_are_plain_floats(self):
+        config = quiet_config(vm=np.int64(50), auc_threshold=np.float32(0.5) + 0.25, filter_quantile=1)
+        assert (config.vm, config.auc_threshold, config.filter_quantile) == (50.0, 0.75, 1.0)
+        assert all(type(v) is float for v in (config.vm, config.auc_threshold, config.filter_quantile))
+        assert config.filter_threshold is None
 
     def test_kind_is_coerced_to_the_enum(self):
         assert quiet_config(kind="qpsk").kind is ModulationKind.QPSK

@@ -89,6 +89,17 @@ class TestBuildScheme:
         with pytest.raises(InvalidParameterError):
             build_scheme(ModulationKind.QPSK, vm)
 
+    @pytest.mark.parametrize("vm", [True, "50", None])
+    def test_rejects_non_real_variance(self, vm):
+        # True once built a V_m 1 scheme, and "50" was a raw TypeError
+        with pytest.raises(InvalidParameterError, match="modulation_variance must be a real number"):
+            build_scheme("8psk", vm)
+
+    def test_variance_is_a_plain_float(self):
+        scheme = build_scheme("8psk", np.int64(50))
+        assert type(scheme.modulation_variance) is float
+        assert scheme == build_scheme("8psk", 50.0)
+
     def test_scheme_fields(self):
         scheme = build_scheme(ModulationKind.PSK8, 2.0)
         assert scheme.kind.value == "8psk"

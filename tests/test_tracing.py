@@ -46,3 +46,21 @@ def test_a_traced_command_records_its_spans(tracing, tmp_path, command, spans):
         assert mlcvqkd.cli.main(["--config", str(config), "--out", str(tmp_path), command]) == 0
     assert spans <= {span[0] for span in tracer.spans}
     assert mlcvqkd.cli.main.__name__ == "main" and not hasattr(mlcvqkd.cli.main, "__wrapped__")
+
+
+@pytest.mark.parametrize("finite, name, other", [
+    (False, "keyrate.rate_asymptotic", "keyrate.rate_finite"),
+    (True, "keyrate.rate_finite", "keyrate.rate_asymptotic"),
+])
+def test_a_keyrate_table_records_one_rate_span_a_distance(tracing, tmp_path, finite, name, other):
+    # one public rate calling the other would count each point twice in keyrate.rate_calls and rate_s
+    distances = [0, 5, 10, 20, 40, 80, 150]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"keyrate": {"distances_km": distances, "finite": finite}}))
+    tracer = tracing.Tracer()
+    with tracer.active(0):
+        assert mlcvqkd.cli.main(["--config", str(config), "--out", str(tmp_path), "keyrate"]) == 0
+    names = [span[0] for span in tracer.spans]
+    assert names.count(name) == len(distances)
+    assert other not in names
+    assert tracing.op_metrics(tracer.spans, 0)["keyrate.rate_calls"] == len(distances)
