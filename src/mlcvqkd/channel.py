@@ -29,6 +29,10 @@ def transmittance_from_distance(distance_km: float, loss_db_per_km: float = DEFA
     """Power transmittance of `distance_km` of fiber at the given loss."""
     distance_km = real_number("distance_km", distance_km)
     loss_db_per_km = real_number("loss_db_per_km", loss_db_per_km)
+    if not (math.isfinite(distance_km) and math.isfinite(loss_db_per_km)):
+        raise InvalidParameterError(
+            f"distance and loss must be finite, got {distance_km} km at {loss_db_per_km} dB/km"
+        )
     if distance_km < 0 or loss_db_per_km < 0:
         raise InvalidParameterError(
             f"distance and loss must be nonnegative, got {distance_km} km at {loss_db_per_km} dB/km"

@@ -214,11 +214,15 @@ def _session_config(config: dict) -> SessionConfig:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    """The header through csv.writer, each row through one format built from
+    the first row: %.17g for a float, %s otherwise. A column must hold one
+    type, and no string that csv.writer would quote (one with a comma, a
+    quote or a line break, or an empty string alone on its row)."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+        csv.writer(fh).writerow(header)
+        if rows:
+            line = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0]) + "\r\n"
+            fh.writelines(line % tuple(row) for row in rows)
 
 
 def _write_json(path: Path, doc, indent: int | None = 2) -> None:
@@ -326,6 +330,7 @@ def cmd_keyrate(config: dict, out_dir: Path) -> int:
     # the section is converted once per table; rows differ in T only
     base = _keyrate_params(section, vm, 1.0, protocol)
     rate_of = rate_asymptotic if base.n is None else rate_finite
+    name = protocol.value
     rows = []
     for distance in distances:
         t = transmittance_from_distance(distance)
@@ -334,7 +339,7 @@ def cmd_keyrate(config: dict, out_dir: Path) -> int:
         rows.append([
             distance, t, params.vm, result.mutual_information,
             result.holevo_term, result.delta_n if result.delta_n is not None else 0.0,
-            result.key_rate, protocol.value,
+            result.key_rate, name,
         ])
     _write_csv(
         out_dir / "keyrate.csv",

@@ -352,7 +352,7 @@ def _eig_pair(s: float, p: float, which: str) -> tuple[float, float]:
     lam_minus = math.sqrt(sq)
     if lam_minus < 1.0 - _LAMBDA_TOLERANCE:
         raise NumericalDomainError(f"unphysical {which} below 1", **{"lambda": lam_minus, "s": s, "p": p})
-    return max(lam_plus, 1.0), max(lam_minus, 1.0)
+    return 1.0 if lam_plus < 1.0 else lam_plus, 1.0 if lam_minus < 1.0 else lam_minus
 
 
 def holevo_chi_be(params: KeyRateParams) -> tuple[float, float, tuple[float, ...]]:
@@ -386,7 +386,13 @@ def _rate(params: KeyRateParams, finite: bool) -> RateResult:
     else:
         eve, gain = holevo_chi_be(params)[0], params.beta * i_ab
     key = gain - eve if d is None else params.n / params.big_n * (gain - eve - d)
-    return RateResult(params.protocol, key, i_ab, eve, delta_n=d)
+    if not math.isfinite(key):  # the constructor raises the NumericalDomainError
+        return RateResult(params.protocol, key, i_ab, eve, delta_n=d)
+    # a finite key passes __post_init__, so the result is built as KeyRateParams.at builds a point
+    result = object.__new__(RateResult)
+    object.__setattr__(result, "__dict__", {"protocol": params.protocol, "key_rate": key,
+                                            "mutual_information": i_ab, "holevo_term": eve, "delta_n": d})
+    return result
 
 
 def rate_asymptotic(params: KeyRateParams) -> RateResult:
@@ -465,7 +471,7 @@ def optimize_vm(distances_km, params: KeyRateParams, v_lo: float = 0.05,
             return rate_of(point.at(vm=vm)).key_rate
 
         coarse = [rate(v) for v in grid]
-        best = int(np.argmax(coarse))
+        best = coarse.index(max(coarse))  # the first maximum, as np.argmax; every rate is finite
         lo = grid[max(best - 1, 0)]
         hi = grid[min(best + 1, len(grid) - 1)]
         vm_opt = _golden_section_max(rate, lo, hi, _XTOL)

@@ -50,7 +50,8 @@ class SessionConfig:
 
     The float fields (and the filter fields when not None) must be real
     numbers and are stored as Python floats; a bool or a string is an
-    InvalidParameterError.
+    InvalidParameterError, as is a channel, qmlc or rule_id that is not a
+    ChannelParams, a QmlcParams or a str.
     """
 
     kind: ModulationKind = ModulationKind.PSK8
@@ -70,6 +71,9 @@ class SessionConfig:
             object.__setattr__(self, "kind", ModulationKind(self.kind))
         except ValueError:
             raise InvalidParameterError(f"unknown modulation kind {self.kind!r}") from None
+        for name, cls in (("channel", ChannelParams), ("qmlc", qmlc.QmlcParams), ("rule_id", str)):
+            if not isinstance(getattr(self, name), cls):
+                raise InvalidParameterError(f"{name} must be a {cls.__name__}, got {getattr(self, name)!r}")
         object.__setattr__(self, "vm", real_number("vm", self.vm))
         object.__setattr__(self, "auc_threshold", real_number("auc_threshold", self.auc_threshold))
         for name in ("filter_quantile", "filter_threshold"):

@@ -72,7 +72,10 @@ class ModulationScheme:
     modulation_variance: float
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", ModulationKind(self.kind))
+        try:
+            object.__setattr__(self, "kind", ModulationKind(self.kind))
+        except ValueError:
+            raise InvalidParameterError(f"unknown modulation kind {self.kind!r}") from None
         vm = real_number("modulation_variance", self.modulation_variance)
         if not (vm > 0 and math.isfinite(vm)):
             raise InvalidParameterError(f"modulation variance must be positive, got {vm}")

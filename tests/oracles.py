@@ -18,11 +18,14 @@ search and the per-row key-rate table are the key-rate loops that
 recomputed Z and rebuilt the parameters for every point, kept as the
 reference for the loops that compute both once per V_m. The two
 separate key-rate bodies are the package's earlier rate_asymptotic and
-rate_finite, kept as the reference for the one body they now share.
+rate_finite, kept as the reference for the one body they now share. The
+csv.writer table writer is the package's earlier CSV writer, kept as the
+reference for the one that formats each row with a single format string.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import math
 
@@ -402,3 +405,13 @@ def separate_rate_finite(params):
     chi, _, _ = holevo_chi_be(params)
     key = ratio * (params.beta * i_ab - chi - d)
     return RateResult(params.protocol, key, i_ab, chi, delta_n=d)
+
+
+def csv_writer_table(path, header, rows):
+    """A CSV table with every row through csv.writer: the package's earlier
+    _write_csv, kept verbatim."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])

@@ -34,6 +34,15 @@ class TestTransmittance:
             transmittance_from_distance(-1.0)
 
     @pytest.mark.parametrize("name", ["distance_km", "loss_db_per_km"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_arguments_rejected(self, name, value):
+        # NaN once gave a NaN transmittance and inf 0.0, which failed later and named the transmittance
+        args = {"distance_km": 10.0, "loss_db_per_km": 0.2, name: value}
+        want = f"must be finite, got {args['distance_km']} km at {args['loss_db_per_km']} dB/km"
+        with pytest.raises(InvalidParameterError, match=want):
+            transmittance_from_distance(**args)
+
+    @pytest.mark.parametrize("name", ["distance_km", "loss_db_per_km"])
     @pytest.mark.parametrize("value", [True, "10", None])
     def test_non_real_arguments_rejected(self, name, value):
         # True once gave the transmittance of 1 km, and a string or None was a raw TypeError

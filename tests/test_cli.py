@@ -25,7 +25,7 @@ from mlcvqkd.cli import (
 )
 from mlcvqkd.keyrate import KeyRateParams, Protocol, optimize_vm, rate_asymptotic
 from mlcvqkd.protocol import SessionConfig, _generate_population
-from oracles import per_row_keyrate_rows
+from oracles import csv_writer_table, per_point_optimize_vm, per_row_keyrate_rows
 
 QUIET_SESSION = {
     "seed": 7,
@@ -508,6 +508,16 @@ class TestKeyrate:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("distance, text", [(math.nan, "NaN"), (math.inf, "Infinity")])
+    def test_non_finite_distance_is_a_config_error(self, tmp_path, capsys, distance, text):
+        # the error once came later and named the transmittance (nan, or 0.0 for an infinite distance)
+        path = write_config(tmp_path, {"keyrate": {"distances_km": [10, distance]}})
+        assert text in Path(path).read_text()
+        code = main(["--config", path, "--out", str(tmp_path / "run"), "keyrate"])
+        assert code == 2
+        assert f"distance and loss must be finite, got {distance} km at 0.2 dB/km" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "keyrate.csv").exists()
+
     @pytest.mark.parametrize("fraction", [math.inf, math.nan, "half"])
     def test_bad_n_fraction_is_a_config_error(self, tmp_path, capsys, fraction):
         override = {"keyrate": {"finite": True, "n_fraction": fraction, "distances_km": [10]}}
@@ -525,7 +535,7 @@ class TestKeyrate:
                      "keyrate"]) == 0
         got = (out / "keyrate.csv").read_bytes()
         want = per_row_keyrate_rows(section)
-        _write_csv(tmp_path / "want.csv", got.decode().splitlines()[0].split(","), want)
+        csv_writer_table(tmp_path / "want.csv", got.decode().splitlines()[0].split(","), want)
         assert got == (tmp_path / "want.csv").read_bytes()
         if finite:  # the finite-size rows cross the positivity edge inside 150 km
             assert min(row[6] for row in want) <= 0 < max(row[6] for row in want)
@@ -564,8 +574,8 @@ class TestOptimize:
             tables[finite] = (out / "optimal_vm.csv").read_bytes()
         base = KeyRateParams(vm=1.0, transmittance=0.5, n=500_000, big_n=1_000_000)
         want = optimize_vm([20.0, 60.0], base)
-        _write_csv(tmp_path / "want.csv", ["distance_km", "optimal_vm", "key_rate", "no_positive_rate"],
-                   [[r.distance_km, r.vm, r.key_rate, int(r.no_positive_rate)] for r in want])
+        csv_writer_table(tmp_path / "want.csv", ["distance_km", "optimal_vm", "key_rate", "no_positive_rate"],
+                         [[r.distance_km, r.vm, r.key_rate, int(r.no_positive_rate)] for r in want])
         assert tables[True] == (tmp_path / "want.csv").read_bytes()
         assert tables[True] != tables[False]
 
@@ -591,6 +601,72 @@ class TestOptimize:
         assert result.returncode == 3
         assert "key rate is not finite" in result.stderr
         assert "RuntimeWarning" not in result.stderr
+
+
+KEYRATE_HEADER = ["distance_km", "transmittance", "vm", "mutual_information", "holevo_term", "delta_n",
+                  "key_rate", "protocol"]
+OPTIMAL_VM_HEADER = ["distance_km", "optimal_vm", "key_rate", "no_positive_rate"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestSweepBytes:
+    """A small key-rate sweep: every table the CLI writes equals, byte for
+    byte, the one the reference loops and the csv.writer writer make."""
+
+    @pytest.mark.parametrize("vm", [0.2, 1.0])
+    @pytest.mark.parametrize("finite", [False, True])
+    @pytest.mark.parametrize("protocol", [p.value for p in Protocol])
+    def test_keyrate_table(self, tmp_path, protocol, finite, vm):
+        section = {**DEFAULT_CONFIG["keyrate"], "protocol": protocol, "vm": vm, "finite": finite,
+                   "distances_km": list(range(0, 151, 10))}
+        out = tmp_path / "run"
+        assert main(["--config", write_config(tmp_path, {"keyrate": section}), "--out", str(out),
+                     "keyrate"]) == 0
+        csv_writer_table(tmp_path / "want.csv", KEYRATE_HEADER, per_row_keyrate_rows(section))
+        assert (out / "keyrate.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("protocol", ["gaussian", "four-state", "eight-state"])
+    def test_optimal_vm_curve(self, tmp_path, protocol):
+        distances = list(range(10, 151, 20))
+        override = {"optimize": {"protocol": protocol, "distances_km": distances}}
+        out = tmp_path / "run"
+        assert main(["--config", write_config(tmp_path, override), "--out", str(out), "optimize"]) == 0
+        want = per_point_optimize_vm(Protocol(protocol), [float(d) for d in distances],
+                                     KeyRateParams(vm=1.0, transmittance=0.5))
+        csv_writer_table(tmp_path / "want.csv", OPTIMAL_VM_HEADER,
+                         [[r.distance_km, r.vm, r.key_rate, int(r.no_positive_rate)] for r in want])
+        assert (out / "optimal_vm.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, -1e-300, 0.1, 1 / 3, 2.0**53 + 2]
+
+
+class TestWriteCsv:
+    """_write_csv formats each row with one format string; the bytes are
+    those of the csv.writer writer it replaced."""
+
+    def check(self, tmp_path, header, rows):
+        _write_csv(tmp_path / "got.csv", header, rows)
+        csv_writer_table(tmp_path / "want.csv", header, rows)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_edge_floats_ints_and_strings(self, tmp_path):
+        names = [p.value for p in Protocol]
+        rows = [[x, np.float64(x), i, np.int64(-i), names[i % len(names)]] for i, x in enumerate(EDGE_FLOATS)]
+        self.check(tmp_path, ["a", "b", "c", "d", "e"], rows)
+        # a numpy float in the first row formats the column as a float too
+        self.check(tmp_path, ["a", "b"], [[np.float64(0.1), 7], [0.2, 8]])
+
+    def test_empty_table_is_the_header(self, tmp_path):
+        self.check(tmp_path, ["distance_km", "key_rate"], [])
+        assert (tmp_path / "got.csv").read_bytes() == b"distance_km,key_rate\r\n"
+
+    @given(rows=st.lists(st.tuples(st.floats(), st.integers(), st.text(alphabet="abc-.0123456789", min_size=1)),
+                         max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_rows(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            self.check(Path(tmp), ["x", "n", "s"], [list(row) for row in rows])
 
 
 # a default run's effective_config.json, as indent=2 JSON of this compact text

@@ -536,6 +536,25 @@ class TestOptimizeVm:
         assert not results[0].no_positive_rate
         assert results[1].no_positive_rate
 
+    @pytest.mark.parametrize("plateau", [0, 10])
+    def test_equal_maxima_bracket_from_the_first(self, monkeypatch, plateau):
+        # the rate is flat from grid point `plateau` on; np.argmax picked the first of equal maxima, and so
+        # must the coarse search, so golden-section search runs between the grid points either side of it
+        grid = [float(v) for v in np.geomspace(0.05, 20.0, keyrate._COARSE_POINTS)]
+        asked = []
+
+        def plateau_rate(params):
+            asked.append(params.vm)
+            return keyrate.RateResult(params.protocol, min(params.vm, grid[plateau]), 1.0, 0.0)
+
+        monkeypatch.setattr(keyrate, "rate_asymptotic", plateau_rate)
+        [best] = optimize_vm([20.0], KeyRateParams(vm=1.0, transmittance=0.5))
+        lo, hi = grid[max(plateau - 1, 0)], grid[plateau + 1]
+        assert asked[:len(grid)] == grid
+        assert len(asked) > len(grid) + 2
+        assert all(lo <= vm <= hi for vm in asked[len(grid):])
+        assert lo <= best.vm <= hi
+
     def test_invalid_bracket_rejected(self):
         params = KeyRateParams(vm=1.0, transmittance=0.5)
         with pytest.raises(InvalidParameterError):
@@ -764,3 +783,47 @@ class TestOneRateBody:
         for rate, separate in RATE_BODIES.values():
             got, want = rate_or_error(rate, p), rate_or_error(separate, p)
             assert got == want and repr(got) == repr(want)
+
+
+class TestRateResultWithoutTheConstructor:
+    """_rate builds a finite result from its field dict, without RateResult's
+    constructor; it must be the object the constructor builds, and a
+    non-finite key must still raise the constructor's error."""
+
+    @pytest.mark.parametrize("finite", [False, True])
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_equals_the_constructed_result(self, protocol, finite):
+        # the separate bodies build every result through RateResult(...)
+        rate, separate = RATE_BODIES[finite]
+        checked = 0
+        for vm, t, xi, eve in itertools.product((0.05, 0.35, 5.0, 50.0), (1.0, 0.5, 0.01, 1e-5),
+                                                (0.0, 0.01, 0.2), (0.0, 0.03)):
+            p = KeyRateParams(vm=vm, transmittance=t, excess_noise=xi, ml_eve_term=eve, protocol=protocol,
+                              **(FINITE_BLOCK if finite else {}))
+            got, want = rate_or_error(rate, p), rate_or_error(separate, p)
+            if type(want) is tuple:
+                assert got == want, p
+                continue
+            assert type(got) is type(want) is keyrate.RateResult
+            assert list(vars(got).items()) == list(vars(want).items()), p  # every field in order, nothing else
+            assert [type(v) for v in vars(got).values()] == [type(v) for v in vars(want).values()]
+            assert got == want and hash(got) == hash(want) and repr(got) == repr(want), p
+            checked += 1
+        assert checked
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            got.key_rate = 0.0
+
+    @pytest.mark.parametrize("finite", [False, True])
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_non_finite_key_raises_the_constructors_error(self, protocol, finite):
+        # eta = 5e-324, as in {"keyrate": {"eta": 5e-324}}, makes chi_het infinite and the key NaN
+        p = KeyRateParams(vm=0.35, transmittance=0.5, eta=5e-324, protocol=protocol,
+                          **(FINITE_BLOCK if finite else {}))
+        rate, separate = RATE_BODIES[finite]
+        with pytest.raises(NumericalDomainError, match="key rate is not finite") as got:
+            rate(p)
+        with pytest.raises(NumericalDomainError) as want:
+            separate(p)
+        assert str(got.value) == str(want.value)
+        assert repr(got.value.values) == repr(want.value.values)
+        assert math.isnan(got.value.values["key_rate"])

@@ -301,6 +301,21 @@ class TestSessionConfig:
         assert all(type(v) is float for v in (config.vm, config.auc_threshold, config.filter_quantile))
         assert config.filter_threshold is None
 
+    def test_qmlc_must_be_qmlc_params(self):
+        # None once raised a raw AttributeError at the k check
+        with pytest.raises(InvalidParameterError, match="qmlc must be a QmlcParams, got None"):
+            quiet_config(qmlc=None)
+
+    def test_rule_id_must_be_a_string(self):
+        # a list once raised a raw TypeError at the rule lookup
+        with pytest.raises(InvalidParameterError, match=r"rule_id must be a str, got \['x'\]"):
+            quiet_config(rule_id=["x"])
+
+    def test_channel_must_be_channel_params(self):
+        # None was once accepted and failed only when learning ran
+        with pytest.raises(InvalidParameterError, match="channel must be a ChannelParams, got None"):
+            quiet_config(channel=None)
+
     def test_kind_is_coerced_to_the_enum(self):
         assert quiet_config(kind="qpsk").kind is ModulationKind.QPSK
         with pytest.raises(InvalidParameterError, match="unknown modulation kind"):

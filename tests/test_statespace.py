@@ -89,6 +89,11 @@ class TestBuildScheme:
         with pytest.raises(InvalidParameterError):
             build_scheme(ModulationKind.QPSK, vm)
 
+    def test_rejects_unknown_kind(self):
+        # the unguarded enum conversion once raised a raw ValueError
+        with pytest.raises(InvalidParameterError, match="unknown modulation kind '16qam'"):
+            build_scheme("16qam", 50.0)
+
     @pytest.mark.parametrize("vm", [True, "50", None])
     def test_rejects_non_real_variance(self, vm):
         # True once built a V_m 1 scheme, and "50" was a raw TypeError
