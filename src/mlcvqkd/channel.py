@@ -26,7 +26,8 @@ DEFAULT_SHOT_NOISE = 1.0
 
 
 def transmittance_from_distance(distance_km: float, loss_db_per_km: float = DEFAULT_LOSS_DB_PER_KM) -> float:
-    """Power transmittance of `distance_km` of fiber at the given loss."""
+    """Power transmittance of `distance_km` of fiber at the given loss; a
+    length whose T underflows to 0 is an InvalidParameterError."""
     distance_km = real_number("distance_km", distance_km)
     loss_db_per_km = real_number("loss_db_per_km", loss_db_per_km)
     if not (math.isfinite(distance_km) and math.isfinite(loss_db_per_km)):
@@ -37,7 +38,12 @@ def transmittance_from_distance(distance_km: float, loss_db_per_km: float = DEFA
         raise InvalidParameterError(
             f"distance and loss must be nonnegative, got {distance_km} km at {loss_db_per_km} dB/km"
         )
-    return 10.0 ** (-loss_db_per_km * distance_km / 10.0)
+    transmittance = 10.0 ** (-loss_db_per_km * distance_km / 10.0)
+    if transmittance == 0.0:
+        raise InvalidParameterError(
+            f"{distance_km} km at {loss_db_per_km} dB/km transmits nothing (T underflows to 0)"
+        )
+    return transmittance
 
 
 class RandomSource:

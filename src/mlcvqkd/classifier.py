@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParameterError
+from .errors import InvalidInputError, InvalidParameterError, NumericalDomainError
 
 _NEIGHBOR_BLOCK_BYTES = 8 * 2**20  # memory of one batch of the neighbour search
 
@@ -361,14 +361,19 @@ def train(features: np.ndarray, label_flags: np.ndarray, params: QmlcParams) -> 
 
 
 def posterior_ratios(clf: TrainedClassifier, queries: np.ndarray) -> np.ndarray:
-    """f(x, y_j) for each query row and label, shape (n, l)."""
+    """f(x, y_j) for each query row and label, shape (n, l); a ratio past
+    the float range (from a tiny smoothing s) is a NumericalDomainError."""
     queries = np.asarray(queries, dtype=float)
     neighbors = _neighbor_indices(queries, clf.features, clf.params.k)
     c = clf.label_flags[neighbors].sum(axis=1)  # (n, l)
     labels_idx = np.arange(c.shape[1])
     numer = clf.prior_pos[None, :] * clf.cond_pos[labels_idx, c]
     denom = clf.prior_neg[None, :] * clf.cond_neg[labels_idx, c]
-    return numer / denom
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return numer / denom
+    except FloatingPointError:  # a tiny smoothing s underflows a denominator to 0
+        raise NumericalDomainError("posterior ratio is not finite", s=clf.params.s) from None
 
 
 def predict_batch(clf: TrainedClassifier, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -236,9 +236,8 @@ def cmd_simulate(config: dict, out_dir: Path) -> int:
     if not 0 <= population <= MAX_SAMPLES:
         raise InvalidParameterError(
             f"simulate.population must be nonnegative and at most {MAX_SAMPLES}, got {population}")
-    rng_states, rng_channel = _stage_rng(config, "simulate").split(2)
     indices, _, sent, received = _generate_population(
-        session.scheme, population, session.channel, rng_states, rng_channel
+        session.scheme, population, session.channel, _stage_rng(config, "simulate")
     )
     rows = [
         [int(k), float(q), float(p), float(q2), float(p2)]
@@ -287,10 +286,8 @@ def cmd_evaluate(config: dict, out_dir: Path) -> int:
     cells = [(vm, d) for vm in vm_grid for d in distance_grid]
     rngs = _stage_rng(config, "evaluate").split(len(cells))
     for (vm, distance), rng in zip(cells, rngs):
-        cell_config = json.loads(json.dumps(config))
-        cell_config["scheme"]["vm"] = vm
-        cell_config["channel"]["distance_km"] = distance
-        session = _session_config(cell_config)
+        session = _session_config({**config, "scheme": {**config["scheme"], "vm": vm},
+                                   "channel": {**config["channel"], "distance_km": distance}})
         try:
             outcome = state_learning(session, rng)
             report = outcome.report

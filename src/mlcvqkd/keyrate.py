@@ -456,6 +456,13 @@ def optimize_vm(distances_km, params: KeyRateParams, v_lo: float = 0.05,
     then golden-section search refines within the bracketing grid interval
     to 0.01. Distances where even the best rate is nonpositive are flagged.
     """
+    if not isinstance(params, KeyRateParams):
+        raise InvalidParameterError(f"params must be a KeyRateParams, got {params!r}")
+    try:
+        distances_km = list(distances_km)
+    except TypeError:
+        raise InvalidParameterError(
+            f"distances_km must be an iterable of distances, got {distances_km!r}") from None
     v_lo, v_hi = real_number("v_lo", v_lo), real_number("v_hi", v_hi)
     if not (math.isfinite(v_lo) and math.isfinite(v_hi) and 0 < v_lo < v_hi):
         raise InvalidParameterError(f"need finite 0 < v_lo < v_hi, got [{v_lo}, {v_hi}]")

@@ -4,12 +4,12 @@ State learning generates labeled constellation states, transmits them,
 extracts and filters distance features, trains the classifier on one
 split and evaluates it on the other, and accepts the classifier only if
 its average AUC clears the configured threshold. State prediction then
-generates key material: Alice encodes her randomly chosen states under
-the active (possibly private) encoding rule while Bob classifies received
-points back to states and decodes with the same rule; erased predictions
-are dropped from both sides. The intercept-resend demo replays the
-attack in which Eve measures and resends perfectly but decodes under the
-rule she believes is active.
+generates key material: Bob classifies received points back to states,
+erased predictions are dropped from both sides, and Alice's sent states
+and Bob's decoded states become bits under the active (possibly private)
+encoding rule, looked up once per state. The intercept-resend demo
+replays the attack in which Eve measures and resends perfectly but
+decodes under the rule she believes is active.
 """
 
 from __future__ import annotations
@@ -22,17 +22,10 @@ import numpy as np
 
 from . import classifier as qmlc
 from .channel import ChannelParams, RandomSource, transmit_batch
-from .errors import InvalidInputError, InvalidParameterError, LearningRejectedError, real_number
+from .errors import InvalidParameterError, LearningRejectedError, real_number
 from .features import extract_batch, filter_features, resolve_threshold
 from .metrics import EvaluationReport, evaluate
-from .statespace import (
-    NAMED_RULES,
-    EncodingRule,
-    ModulationKind,
-    ModulationScheme,
-    build_scheme,
-    encode,
-)
+from .statespace import NAMED_RULES, ModulationKind, ModulationScheme, build_scheme, encode
 
 # the most rows an array can hold: the largest numpy index
 MAX_SAMPLES = int(np.iinfo(np.intp).max)
@@ -51,7 +44,10 @@ class SessionConfig:
     The float fields (and the filter fields when not None) must be real
     numbers and are stored as Python floats; a bool or a string is an
     InvalidParameterError, as is a channel, qmlc or rule_id that is not a
-    ChannelParams, a QmlcParams or a str.
+    ChannelParams, a QmlcParams or a str. The session's ModulationScheme
+    (``scheme``, which also checks kind and vm) and EncodingRule (``rule``)
+    are built once, when the config is made, and read as attributes; they
+    are not fields, so they take no part in ==, repr or dataclasses.asdict.
     """
 
     kind: ModulationKind = ModulationKind.PSK8
@@ -67,10 +63,6 @@ class SessionConfig:
     filter_threshold: float | None = None
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "kind", ModulationKind(self.kind))
-        except ValueError:
-            raise InvalidParameterError(f"unknown modulation kind {self.kind!r}") from None
         for name, cls in (("channel", ChannelParams), ("qmlc", qmlc.QmlcParams), ("rule_id", str)):
             if not isinstance(getattr(self, name), cls):
                 raise InvalidParameterError(f"{name} must be a {cls.__name__}, got {getattr(self, name)!r}")
@@ -79,8 +71,8 @@ class SessionConfig:
         for name in ("filter_quantile", "filter_threshold"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, real_number(name, getattr(self, name)))
-        if not 0 < self.vm < math.inf:
-            raise InvalidParameterError(f"modulation variance must be finite and positive, got {self.vm}")
+        object.__setattr__(self, "scheme", build_scheme(self.kind, self.vm))  # checks the kind and V_m
+        object.__setattr__(self, "kind", self.scheme.kind)
         for name in ("training_size", "testing_size", "prediction_block"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -104,14 +96,7 @@ class SessionConfig:
             )
         if self.rule_id not in NAMED_RULES:
             raise InvalidParameterError(f"unknown encoding rule {self.rule_id!r}")
-
-    @property
-    def scheme(self) -> ModulationScheme:
-        return build_scheme(self.kind, self.vm)
-
-    @property
-    def rule(self) -> EncodingRule:
-        return NAMED_RULES[self.rule_id]
+        object.__setattr__(self, "rule", NAMED_RULES[self.rule_id])
 
 
 @dataclass
@@ -135,10 +120,11 @@ class LearningOutcome:
         return self.n_discarded / self.n_generated if self.n_generated else 0.0
 
 
-def _generate_population(scheme: ModulationScheme, size: int, channel: ChannelParams,
-                         rng_states: RandomSource, rng_channel: RandomSource):
+def _generate_population(scheme: ModulationScheme, size: int, channel: ChannelParams, rng: RandomSource):
     """(1-based state indices, label flags, sent points, received points)
-    of uniformly drawn states."""
+    of uniformly drawn states: the states come from the first of two
+    streams split from rng, the channel noise from the second."""
+    rng_states, rng_channel = rng.split(2)
     drawn = rng_states.integers(0, scheme.n_states, size)
     sent = scheme.points[drawn]
     received = transmit_batch(sent, channel, rng_channel)
@@ -157,10 +143,7 @@ def state_learning(config: SessionConfig, rng: RandomSource) -> LearningOutcome:
     wanted = config.training_size + config.testing_size
     generated = _generated_size(config.training_size, config.testing_size)
 
-    rng_states, rng_channel = rng.split(2)
-    indices, flags, _, received = _generate_population(
-        scheme, generated, config.channel, rng_states, rng_channel
-    )
+    indices, flags, _, received = _generate_population(scheme, generated, config.channel, rng)
     features = extract_batch(received, scheme.points)
 
     threshold = resolve_threshold(features, config.filter_threshold, config.filter_quantile)
@@ -198,28 +181,21 @@ def state_learning(config: SessionConfig, rng: RandomSource) -> LearningOutcome:
 class SessionTranscript:
     """Record of one state-prediction (key generation) phase.
 
-    Alice's and Bob's keys are stored as per-symbol bit strings; with a
-    variable-length rule a misclassified symbol may decode to a different
-    length, so stream agreement is defined symbol-wise. After erasure
-    removal both sides hold the same number of symbols.
+    Erased symbols are dropped from both sides, so Alice's and Bob's keys
+    concatenate the bits of the same number of symbols. With a
+    variable-length rule a misclassified symbol may carry bits of another
+    length, so agreement is counted on symbols: since no two states share
+    bits, the share of kept symbols whose decoded state is the sent one.
     """
 
     n_sent: int
     n_erased: int
     sent_states: np.ndarray
     predicted_states: np.ndarray
-    alice_symbols: list[str]
-    bob_symbols: list[str]
+    alice_key: str
+    bob_key: str
     agreement_rate: float
     rule_id: str
-
-    @property
-    def alice_key(self) -> str:
-        return "".join(self.alice_symbols)
-
-    @property
-    def bob_key(self) -> str:
-        return "".join(self.bob_symbols)
 
     @property
     def erasure_rate(self) -> float:
@@ -247,31 +223,24 @@ def state_prediction(clf: qmlc.TrainedClassifier, config: SessionConfig,
     not simulated bit-level; their cost enters the key rate through beta
     and Delta(n).
     """
-    scheme = config.scheme
-    rule = config.rule
-
-    rng_states, rng_channel = rng.split(2)
-    indices, _, _, received = _generate_population(
-        scheme, config.prediction_block, config.channel, rng_states, rng_channel
-    )
+    scheme, rule = config.scheme, config.rule
+    indices, _, _, received = _generate_population(scheme, config.prediction_block, config.channel, rng)
     features = extract_batch(received, scheme.points)
     _, pred_flags = qmlc.predict_batch(clf, features)
     predicted = scheme.decode(pred_flags)  # 0 marks an erasure
 
     kept = predicted > 0
-    alice_symbols = [encode(rule, int(k)) for k in indices[kept]]
-    bob_symbols = [encode(rule, int(k)) for k in predicted[kept]]
-    matches = sum(a == b for a, b in zip(alice_symbols, bob_symbols))
-    agreement = matches / len(alice_symbols) if alice_symbols else 1.0
+    sent, decoded = indices[kept], predicted[kept]
+    bits = [""] + [encode(rule, k) for k in range(1, scheme.n_states + 1)]  # state k's bits at [k]
 
     return SessionTranscript(
         n_sent=int(len(indices)),
         n_erased=int((~kept).sum()),
         sent_states=indices,
         predicted_states=predicted,
-        alice_symbols=alice_symbols,
-        bob_symbols=bob_symbols,
-        agreement_rate=float(agreement),
+        alice_key="".join([bits[k] for k in sent.tolist()]),
+        bob_key="".join([bits[k] for k in decoded.tolist()]),
+        agreement_rate=int(np.count_nonzero(sent == decoded)) / sent.size if sent.size else 1.0,
         rule_id=rule.rule_id,
     )
 

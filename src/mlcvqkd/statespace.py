@@ -5,8 +5,8 @@ in shot-noise units. A scheme holds its constellation in one form: the
 (n_states, 2) array `points`, with state k at row k - 1 on a ring of
 radius sqrt(V_m / 2), and the (n_states, 4) array `label_flags` of the
 quadrant labels L1..L4 whose closure contains each point. Bit encoding is
-a per-state lookup table that may be public or private and may assign bit
-strings of different lengths.
+a per-state lookup table, public or kept private by Alice and Bob, that
+gives each state its own bit string; the strings may differ in length.
 
 A scheme's decode table maps a flag row, read as the binary number
 flags @ (1, 2, 4, 8), to the index of the state carrying exactly those
@@ -31,11 +31,6 @@ _FLAG_WEIGHTS = 1 << np.arange(N_LABELS)  # (1, 2, 4, 8)
 class ModulationKind(str, Enum):
     QPSK = "qpsk"
     PSK8 = "8psk"
-
-
-class RuleVisibility(str, Enum):
-    PUBLIC = "public"
-    PRIVATE = "private"
 
 
 def quadrant_flags(points: np.ndarray) -> np.ndarray:
@@ -78,7 +73,7 @@ class ModulationScheme:
             raise InvalidParameterError(f"unknown modulation kind {self.kind!r}") from None
         vm = real_number("modulation_variance", self.modulation_variance)
         if not (vm > 0 and math.isfinite(vm)):
-            raise InvalidParameterError(f"modulation variance must be positive, got {vm}")
+            raise InvalidParameterError(f"modulation variance must be finite and positive, got {vm}")
         object.__setattr__(self, "modulation_variance", vm)
         octants = _OCTANT_COS_SIN[::2] if self.kind is ModulationKind.QPSK else _OCTANT_COS_SIN
         points = math.sqrt(vm / 2.0) * octants
@@ -118,16 +113,21 @@ def build_scheme(kind: ModulationKind | str, modulation_variance: float) -> Modu
 
 @dataclass(frozen=True)
 class EncodingRule:
-    """A state-index -> bit-string lookup. Strings may differ in length."""
+    """A state-index -> bit-string lookup. Strings may differ in length, but
+    no two states share one, so two symbols' bits agree exactly when their
+    states do."""
 
     rule_id: str
-    visibility: RuleVisibility
     mapping: Mapping[int, str] = field(hash=False)
 
     def __post_init__(self):
+        owner = {}
         for k, bits in self.mapping.items():
             if not bits or any(c not in "01" for c in bits):
                 raise InvalidParameterError(f"rule {self.rule_id}: state {k} maps to non-bit-string {bits!r}")
+            if owner.setdefault(bits, k) != k:
+                raise InvalidParameterError(
+                    f"rule {self.rule_id}: states {owner[bits]} and {k} both map to {bits!r}")
 
 
 def encode(rule: EncodingRule, index: int) -> str:
@@ -148,19 +148,16 @@ def encode(rule: EncodingRule, index: int) -> str:
 # with deliberately variable length.
 RULE_PUBLIC_8PSK = EncodingRule(
     rule_id="rule1",
-    visibility=RuleVisibility.PUBLIC,
     mapping={1: "000", 2: "001", 3: "010", 4: "011", 5: "100", 6: "101", 7: "110", 8: "111"},
 )
 
 RULE_PRIVATE_LEARNING_1 = EncodingRule(
     rule_id="rule2",
-    visibility=RuleVisibility.PRIVATE,
     mapping={1: "111", 2: "110", 3: "101", 4: "100", 5: "011", 6: "010", 7: "001", 8: "000"},
 )
 
 RULE_PRIVATE_LEARNING_2 = EncodingRule(
     rule_id="rule3",
-    visibility=RuleVisibility.PRIVATE,
     mapping={1: "00", 2: "10101", 3: "11", 4: "1", 5: "1001", 6: "01", 7: "1011", 8: "101"},
 )
 

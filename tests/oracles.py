@@ -21,6 +21,9 @@ separate key-rate bodies are the package's earlier rate_asymptotic and
 rate_finite, kept as the reference for the one body they now share. The
 csv.writer table writer is the package's earlier CSV writer, kept as the
 reference for the one that formats each row with a single format string.
+The per-symbol transcript loop is the package's earlier key builder,
+kept as the reference for the keys built from one lookup per state and
+the agreement counted on states.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from mlcvqkd.keyrate import (
     rate_asymptotic,
     rate_finite,
 )
+from mlcvqkd.statespace import encode
 
 
 class BruteForceMultiLabelKnn:
@@ -415,3 +419,15 @@ def csv_writer_table(path, header, rows):
         writer.writerow(header)
         for row in rows:
             writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+
+
+def per_symbol_transcript_keys(rule, sent_states, predicted_states):
+    """(alice_key, bob_key, agreement_rate) with one encode call per kept
+    symbol on each side and agreement counted on the bit strings: the
+    package's earlier state_prediction loop, kept verbatim."""
+    kept = predicted_states > 0
+    alice_symbols = [encode(rule, int(k)) for k in sent_states[kept]]
+    bob_symbols = [encode(rule, int(k)) for k in predicted_states[kept]]
+    matches = sum(a == b for a, b in zip(alice_symbols, bob_symbols))
+    agreement = matches / len(alice_symbols) if alice_symbols else 1.0
+    return "".join(alice_symbols), "".join(bob_symbols), float(agreement)

