@@ -356,7 +356,7 @@ def _eig_pair(s: float, p: float, which: str) -> tuple[float, float]:
 
 
 def holevo_chi_be(params: KeyRateParams) -> tuple[float, float, tuple[float, ...]]:
-    """Holevo bound chi_BE; returns (chi, z, lambdas)."""
+    """Holevo bound chi_BE, never below 0; returns (chi, z, lambdas)."""
     z = covariance_z(params.protocol, params.vm)
     try:
         lams = symplectic_eigenvalues(params, z)
@@ -366,7 +366,8 @@ def holevo_chi_be(params: KeyRateParams) -> tuple[float, float, tuple[float, ...
     chi = (entropy_g((lams[0] - 1.0) / 2.0) + entropy_g((lams[1] - 1.0) / 2.0)
            - entropy_g((lams[2] - 1.0) / 2.0) - entropy_g((lams[3] - 1.0) / 2.0)
            - entropy_g((lams[4] - 1.0) / 2.0))
-    return chi, z, lams
+    # the sum cancels to a few ulps below 0 at long distance; chi >= 0, and NaN passes
+    return (0.0 if chi < 0.0 else chi), z, lams
 
 
 def delta_n(params: KeyRateParams) -> float:
@@ -459,6 +460,8 @@ def optimize_vm(distances_km, params: KeyRateParams, v_lo: float = 0.05,
     if not isinstance(params, KeyRateParams):
         raise InvalidParameterError(f"params must be a KeyRateParams, got {params!r}")
     try:
+        if isinstance(distances_km, (str, bytes)):  # iterable, but over its characters
+            raise TypeError
         distances_km = list(distances_km)
     except TypeError:
         raise InvalidParameterError(

@@ -18,13 +18,14 @@ from mlcvqkd.cli import (
     _keyrate_params,
     _session_config,
     _stage_rng,
+    _write_compact_json,
     _write_csv,
     build_parser,
     load_config,
     main,
 )
 from mlcvqkd.keyrate import KeyRateParams, Protocol, optimize_vm, rate_asymptotic
-from mlcvqkd.protocol import SessionConfig, _generate_population
+from mlcvqkd.protocol import SessionConfig, _generate_population, state_learning, state_prediction
 from oracles import csv_writer_table, per_point_optimize_vm, per_row_keyrate_rows
 
 QUIET_SESSION = {
@@ -386,6 +387,27 @@ class TestLearnPredict:
         assert transcript["agreement_rate"] == 1.0
         assert transcript["alice_key"] == transcript["bob_key"]
 
+    def test_documents_hold_the_in_memory_values(self, tmp_path):
+        # classifier.json and transcript.json are written by orjson; stdlib json must read back every value,
+        # each float bit for bit (repr tells -0.0 from 0.0 and 1 from 1.0, which == does not)
+        path = write_config(tmp_path, QUIET_SESSION)
+        out = tmp_path / "run"
+        assert main(["--config", path, "--out", str(out), "learn"]) == 0
+        config = load_config(path, None)
+        clf = state_learning(_session_config(config), _stage_rng(config, "learn")).classifier
+        text = (out / "classifier.json").read_text()
+        assert text.endswith("}\n")
+        doc, want = json.loads(text), clf.to_json_dict()
+        assert doc == want and repr(doc) == repr(want)
+
+        code = main(["--config", path, "--out", str(out), "predict", "--classifier", str(out / "classifier.json")])
+        assert code == 0
+        text = (out / "transcript.json").read_text()
+        assert text.endswith("}\n")
+        doc = json.loads(text)
+        want = state_prediction(clf, _session_config(config), _stage_rng(config, "predict")).to_json_dict()
+        assert doc == want and repr(doc) == repr(want)
+
     def test_predict_without_classifier_flag(self, tmp_path, capsys):
         path = write_config(tmp_path, QUIET_SESSION)
         code = main(["--config", path, "--out", str(tmp_path), "predict"])
@@ -681,6 +703,18 @@ class TestWriteCsv:
             self.check(Path(tmp), ["x", "n", "s"], [list(row) for row in rows])
 
 
+class TestWriteCompactJson:
+    @given(floats=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=50),
+           ints=st.lists(st.integers(-2**63, 2**64 - 1), max_size=10))
+    @settings(max_examples=200, deadline=None)
+    def test_json_reads_back_every_finite_float_and_64_bit_integer(self, floats, ints):
+        doc = {"floats": floats, "ints": ints, "rows": [floats, ints]}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "doc.json"
+            _write_compact_json(path, doc)
+            assert repr(json.loads(path.read_text())) == repr(doc)
+
+
 # a default run's effective_config.json, as indent=2 JSON of this compact text
 DEFAULT_EFFECTIVE_CONFIG = (
     '{"seed": 20240901, "scheme": {"kind": "8psk", "vm": 50.0}, '
@@ -795,6 +829,16 @@ class TestEffectiveConfig:
         path = write_config(tmp_path, override)
         assert main(["--config", path, "--out", str(tmp_path / "out"), command]) == 0
         assert json.loads((tmp_path / "out" / "effective_config.json").read_text()) == load_config(path, None)
+
+    def test_holds_integers_past_64_bits_and_nan_of_unread_sections(self, tmp_path):
+        # why the file stays on stdlib json: orjson raises on these integers and writes NaN as null
+        big = 10**23
+        path = write_config(tmp_path, {"simulate": {"population": big}, "evaluate": {"vm_grid": [math.nan]},
+                                       "keyrate": {"distances_km": [10]}})
+        assert main(["--config", path, "--seed", str(big), "--out", str(tmp_path / "out"), "keyrate"]) == 0
+        effective = json.loads((tmp_path / "out" / "effective_config.json").read_text())
+        assert effective["seed"] == big and effective["simulate"]["population"] == big
+        assert math.isnan(effective["evaluate"]["vm_grid"][0])
 
     def test_not_written_when_a_command_fails(self, tmp_path):
         path = write_config(tmp_path, {"keyrate": {"vm": 5000, "protocol": "four-state"}})

@@ -575,12 +575,24 @@ class TestOptimizeVm:
         with pytest.raises(InvalidParameterError, match="distance_km must be a real number"):
             optimize_vm([distance], params)
 
-    @pytest.mark.parametrize("distances", [None, 10.0])
+    @pytest.mark.parametrize("distances", [None, 10.0, "10", b"10"])
     def test_non_iterable_distances_rejected(self, distances):
-        # None was once a raw TypeError ('NoneType' object is not iterable)
+        # None was once a raw TypeError ('NoneType' object is not iterable), and "10" an error naming
+        # its character '1'
         params = KeyRateParams(vm=1.0, transmittance=0.5)
         with pytest.raises(InvalidParameterError, match="distances_km must be an iterable of distances"):
             optimize_vm(distances, params)
+
+    @pytest.mark.parametrize("distance", [1000.0, 1500.0])
+    def test_no_key_where_the_channel_carries_no_information(self, distance):
+        # chi_BE once cancelled to -4.44e-16 here, so a zero rate came out positive and a key was claimed
+        params = KeyRateParams(vm=0.35, transmittance=transmittance_from_distance(distance),
+                               protocol=Protocol.EIGHT_STATE)
+        result = rate_asymptotic(params)
+        assert (result.mutual_information, result.holevo_term, result.key_rate) == (0.0, 0.0, 0.0)
+        [best] = optimize_vm([distance], params)
+        assert best.key_rate == 0.0
+        assert best.no_positive_rate
 
     def test_params_must_be_key_rate_params(self):
         with pytest.raises(InvalidParameterError, match="params must be a KeyRateParams, got None"):
