@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InvalidParameterError, real_number
+from .errors import InvalidParameterError, integer, real_number
 
 DEFAULT_LOSS_DB_PER_KM = 0.2
 DEFAULT_SHOT_NOISE = 1.0
@@ -61,9 +61,10 @@ class RandomSource:
         if _sequence is not None:
             self.sequence = _sequence
         else:
-            if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            seed = integer("seed", seed)
+            if seed < 0:
                 raise InvalidParameterError(f"seed must be a nonnegative integer, got {seed!r}")
-            self.sequence = np.random.SeedSequence(int(seed))
+            self.sequence = np.random.SeedSequence(seed)
         self.generator = np.random.Generator(np.random.PCG64(self.sequence))
 
     def split(self, n: int) -> list["RandomSource"]:
@@ -97,8 +98,9 @@ class ChannelParams:
         Fixed phase drift phi0 in radians applied to every symbol.
     shot_noise : float
         Shot-noise variance N0, default 1 (shot-noise-unit normalization).
-    transmittance : float
-        Derived power transmittance in (0, 1].
+    transmittance, noise_variance : float
+        Derived T in (0, 1] and per-quadrature noise variance N0 + T*xi,
+        computed once when the channel is made; they are not fields.
     """
 
     distance_km: float
@@ -117,17 +119,9 @@ class ChannelParams:
             raise InvalidParameterError(f"excess noise must be nonnegative, got {self.excess_noise}")
         if self.shot_noise <= 0:
             raise InvalidParameterError(f"shot noise must be positive, got {self.shot_noise}")
-        # validates distance and loss
-        transmittance_from_distance(self.distance_km, self.loss_db_per_km)
-
-    @property
-    def transmittance(self) -> float:
-        return transmittance_from_distance(self.distance_km, self.loss_db_per_km)
-
-    @property
-    def noise_variance(self) -> float:
-        """Per-quadrature variance N0 + T*xi of the additive noise."""
-        return self.shot_noise + self.transmittance * self.excess_noise
+        t = transmittance_from_distance(self.distance_km, self.loss_db_per_km)  # checks distance and loss
+        # plain attributes, not fields, so they are written past the frozen __setattr__
+        vars(self).update(transmittance=t, noise_variance=self.shot_noise + t * self.excess_noise)
 
 
 def transmit_batch(points: np.ndarray, params: ChannelParams, rng: RandomSource) -> np.ndarray:

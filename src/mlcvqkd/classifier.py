@@ -17,33 +17,33 @@ state, or to an erasure when no state carries that label set.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParameterError, NumericalDomainError
+from .errors import InvalidInputError, InvalidParameterError, NumericalDomainError, integer, real_number
 
 _NEIGHBOR_BLOCK_BYTES = 8 * 2**20  # memory of one batch of the neighbour search
 
 
 @dataclass(frozen=True)
 class QmlcParams:
-    """k neighbors, Laplace smoothing s, posterior-ratio threshold t."""
+    """k neighbors, Laplace smoothing s, posterior-ratio threshold t; k is
+    stored as a Python int, s and t as Python floats."""
 
     k: int
     s: float = 1.0
     t: float = 1.0
 
     def __post_init__(self):
-        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral) or self.k < 1:
+        object.__setattr__(self, "k", integer("k", self.k))
+        if self.k < 1:
             raise InvalidParameterError(f"k must be a positive integer, got {self.k!r}")
-        object.__setattr__(self, "k", int(self.k))
         for name, what in (("s", "smoothing s"), ("t", "threshold t")):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value) or value <= 0):
+            value = real_number(what, getattr(self, name))
+            if not math.isfinite(value) or value <= 0:
                 raise InvalidParameterError(f"{what} must be a finite positive number, got {value!r}")
+            object.__setattr__(self, name, value)
 
 
 class TrainedClassifier:

@@ -33,7 +33,7 @@ import orjson
 
 from . import classifier as qmlc
 from .channel import ChannelParams, RandomSource, transmittance_from_distance
-from .errors import InvalidInputError, InvalidParameterError, LearningRejectedError, MlcvqkdError
+from .errors import InvalidInputError, InvalidParameterError, LearningRejectedError, MlcvqkdError, integer
 from .keyrate import KeyRateParams, Protocol, optimize_vm, rate_asymptotic, rate_finite
 from .protocol import (
     MAX_SAMPLES,
@@ -144,9 +144,7 @@ def _integer(value, name: str) -> int:
     """An integer config value: 9 and 9.0 pass, 9.5 and true do not."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    return integer(name, value)
 
 
 def _real(value, name: str) -> float:

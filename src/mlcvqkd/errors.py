@@ -20,6 +20,14 @@ class InvalidParameterError(MlcvqkdError, ValueError):
     exit_code = 2
 
 
+def integer(name: str, value) -> int:
+    """An integer parameter's value as a Python int; a bool or a
+    non-integer is an InvalidParameterError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def real_number(name: str, value) -> float:
     """A float parameter's value as a Python float; a bool or a non-real is
     an InvalidParameterError, as is a real past the float range."""

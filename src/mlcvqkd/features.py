@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParameterError
+from .errors import InvalidInputError, InvalidParameterError, real_number
 
 
 def extract_batch(points: np.ndarray, refs: np.ndarray) -> np.ndarray:
@@ -40,9 +40,11 @@ def resolve_threshold(features: np.ndarray, threshold: float | None = None, quan
     if (threshold is None) == (quantile is None):
         raise InvalidParameterError("give exactly one of threshold or quantile")
     if threshold is not None:
+        threshold = real_number("threshold", threshold)
         if not threshold > 0:
             raise InvalidParameterError(f"threshold must be positive, got {threshold}")
-        return float(threshold)
+        return threshold
+    quantile = real_number("quantile", quantile)
     if not 0 < quantile <= 1:
         raise InvalidParameterError(f"quantile must be in (0, 1], got {quantile}")
     features = np.asarray(features, dtype=float)
@@ -61,6 +63,7 @@ def filter_features(features: np.ndarray, threshold: float) -> tuple[np.ndarray,
     rate is a monitored statistic, since excessive filtering biases the
     classifier.
     """
+    threshold = real_number("threshold", threshold)
     features = np.asarray(features, dtype=float)
     if features.size == 0:
         return np.empty(0, dtype=int), np.empty(0, dtype=int)

@@ -35,14 +35,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .channel import transmittance_from_distance
-from .errors import InvalidParameterError, NumericalDomainError, real_number
+from .errors import InvalidParameterError, NumericalDomainError, integer, real_number
 
 DIM_HB = 2
 _LAMBDA_TOLERANCE = 1e-9
@@ -156,10 +155,7 @@ class KeyRateParams:
             raise InvalidParameterError("n and big_n must be given together")
         if self.n is not None:
             for name in ("n", "big_n"):
-                value = getattr(self, name)
-                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                    raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-                object.__setattr__(self, name, int(value))
+                object.__setattr__(self, name, integer(name, getattr(self, name)))
             if self.n <= 0 or self.big_n <= 0 or self.n > self.big_n:
                 raise InvalidParameterError(f"need 0 < n <= N, got n={self.n}, N={self.big_n}")
         if not math.isfinite(self.ml_eve_term):
@@ -278,18 +274,19 @@ def _weights_eight(a2: float) -> list[float]:
     ]
 
 
-@functools.lru_cache(maxsize=128)
+@functools.lru_cache(maxsize=128, typed=True)
 def covariance_z(protocol: Protocol, vm: float) -> float:
     """Alice-Bob correlation Z for the given protocol at variance vm.
 
-    The last 128 values are cached. The arguments are coerced first, so
-    equal keys of other types ("gaussian", a numpy float) return a float.
+    The last 128 values are cached by typed key, so True is rejected, not
+    served as 1.0. The arguments are coerced first, so equal keys of other
+    types ("gaussian", a numpy float) return a float.
     """
     try:
         protocol = Protocol(protocol)
     except ValueError:
         raise InvalidParameterError(f"unknown protocol {protocol!r}") from None
-    vm = float(vm)
+    vm = real_number("vm", vm)
     if not 0 <= vm < math.inf:
         raise InvalidParameterError(f"modulation variance must be finite and nonnegative, got {vm}")
     if vm == 0.0:

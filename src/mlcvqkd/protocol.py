@@ -15,14 +15,13 @@ decodes under the rule she believes is active.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import classifier as qmlc
 from .channel import ChannelParams, RandomSource, transmit_batch
-from .errors import InvalidParameterError, LearningRejectedError, real_number
+from .errors import InvalidParameterError, LearningRejectedError, integer, real_number
 from .features import extract_batch, filter_features, resolve_threshold
 from .metrics import EvaluationReport, evaluate
 from .statespace import NAMED_RULES, ModulationKind, ModulationScheme, build_scheme, encode
@@ -42,12 +41,13 @@ class SessionConfig:
     """Configuration of one learning-plus-prediction session.
 
     The float fields (and the filter fields when not None) must be real
-    numbers and are stored as Python floats; a bool or a string is an
-    InvalidParameterError, as is a channel, qmlc or rule_id that is not a
-    ChannelParams, a QmlcParams or a str. The session's ModulationScheme
-    (``scheme``, which also checks kind and vm) and EncodingRule (``rule``)
-    are built once, when the config is made, and read as attributes; they
-    are not fields, so they take no part in ==, repr or dataclasses.asdict.
+    numbers and are stored as Python floats, the sizes integers stored as
+    Python ints; a bool or a string is an InvalidParameterError, as is a
+    channel, qmlc or rule_id that is not a ChannelParams, a QmlcParams or
+    a str. The session's ModulationScheme (``scheme``, which also checks
+    kind and vm) and EncodingRule (``rule``) are built once, when the
+    config is made, and read as attributes; they are not fields, so they
+    take no part in ==, repr or dataclasses.asdict.
     """
 
     kind: ModulationKind = ModulationKind.PSK8
@@ -74,12 +74,10 @@ class SessionConfig:
         object.__setattr__(self, "scheme", build_scheme(self.kind, self.vm))  # checks the kind and V_m
         object.__setattr__(self, "kind", self.scheme.kind)
         for name in ("training_size", "testing_size", "prediction_block"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+            value = integer(name, getattr(self, name))
             if value > MAX_SAMPLES:
                 raise InvalidParameterError(f"{name} must be at most {MAX_SAMPLES}, got {value}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, value)
         if _generated_size(self.training_size, self.testing_size) > MAX_SAMPLES:
             raise InvalidParameterError(
                 f"training and testing sizes draw more than {MAX_SAMPLES} samples together"

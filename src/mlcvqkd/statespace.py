@@ -123,7 +123,7 @@ class EncodingRule:
     def __post_init__(self):
         owner = {}
         for k, bits in self.mapping.items():
-            if not bits or any(c not in "01" for c in bits):
+            if not isinstance(bits, str) or not bits or any(c not in "01" for c in bits):
                 raise InvalidParameterError(f"rule {self.rule_id}: state {k} maps to non-bit-string {bits!r}")
             if owner.setdefault(bits, k) != k:
                 raise InvalidParameterError(

@@ -111,6 +111,8 @@ class TestDeterminism:
         out1 = transmit_batch(points, params, RandomSource(123))
         out2 = transmit_batch(points, params, RandomSource(123))
         np.testing.assert_array_equal(out1, out2)
+        # any integer type seeds the same stream
+        np.testing.assert_array_equal(out1, transmit_batch(points, params, RandomSource(np.uint8(123))))
 
     def test_different_seeds_differ(self):
         points = np.ones((10, 2))

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -317,6 +319,10 @@ class TestTraining:
     def test_integer_k_of_any_integer_type_is_a_plain_int(self):
         params = QmlcParams(k=np.int64(9), s=2, t=np.float64(0.5))
         assert params.k == 9 and type(params.k) is int
+        # and s, t of any real type are plain floats, which a JSON writer can take
+        for value in (np.float32(0.5), np.float64(0.5), Fraction(1, 2)):
+            params = QmlcParams(k=9, s=value, t=value)
+            assert params.s == params.t == 0.5 and type(params.s) is type(params.t) is float
 
 
 class TestPrediction:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlcvqkd.channel import transmittance_from_distance
+from mlcvqkd.classifier import QmlcParams, TrainedClassifier, train
 from mlcvqkd.cli import (
     DEFAULT_CONFIG,
     _keyrate_params,
@@ -713,6 +714,16 @@ class TestWriteCompactJson:
             path = Path(tmp) / "doc.json"
             _write_compact_json(path, doc)
             assert repr(json.loads(path.read_text())) == repr(doc)
+
+    def test_a_classifier_trained_with_numpy_s_and_t_reads_back_equal(self, tmp_path):
+        rng = np.random.default_rng(5)
+        params = QmlcParams(k=3, s=np.float32(0.5), t=np.float32(1.5))
+        clf = train(rng.normal(size=(30, 8)), rng.random((30, 4)) < 0.5, params)
+        path = tmp_path / "classifier.json"
+        _write_compact_json(path, clf.to_json_dict())
+        doc = json.loads(path.read_text())
+        assert doc == clf.to_json_dict()
+        assert TrainedClassifier.from_json_dict(doc).params == params
 
 
 # a default run's effective_config.json, as indent=2 JSON of this compact text

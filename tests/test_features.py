@@ -120,6 +120,14 @@ class TestThreshold:
             resolve_threshold(np.ones((2, 2)), threshold=0.0)
         with pytest.raises(InvalidParameterError):
             resolve_threshold(np.ones((2, 2)), quantile=1.5)
+        for value in ("abc", True):
+            with pytest.raises(InvalidParameterError, match="threshold must be a real number"):
+                resolve_threshold(np.ones((2, 2)), threshold=value)
+            with pytest.raises(InvalidParameterError, match="quantile must be a real number"):
+                resolve_threshold(np.ones((2, 2)), quantile=value)
+        for value in ("abc", None):
+            with pytest.raises(InvalidParameterError, match="threshold must be a real number"):
+                filter_features(np.ones((2, 2)), value)
 
 
 class TestFilter:

@@ -311,6 +311,9 @@ class TestCorrelationZ:
     def test_negative_variance_rejected(self):
         with pytest.raises(InvalidParameterError):
             covariance_z(Protocol.GAUSSIAN, -0.1)
+        for vm in ("1.5", None):  # not real numbers
+            with pytest.raises(InvalidParameterError, match="vm must be a real number"):
+                covariance_z(Protocol.GAUSSIAN, vm)
 
     @pytest.mark.parametrize("protocol", list(Protocol))
     @pytest.mark.parametrize("vm", [math.nan, math.inf])
@@ -330,6 +333,10 @@ class TestCorrelationZ:
         for key in ((protocol, 0.7), (protocol.value, 0.7), (protocol, np.float64(0.7))):
             z = covariance_z(*key)
             assert type(z) is float and z == first
+        # True equals a cached 1.0, but the typed cache still sends it to the check
+        covariance_z(protocol, 1.0)
+        with pytest.raises(InvalidParameterError, match="vm must be a real number"):
+            covariance_z(protocol, True)
 
     @pytest.mark.parametrize("protocol", list(Protocol))
     @pytest.mark.parametrize("vm", [0.0, 1e-3, 0.35, 1.0, 2.0, 50.0, 1400.0])

@@ -12,16 +12,20 @@ tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def module_imports(path: Path) -> set[str]:
+    """The top-level names of every absolute import in one module."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
 def imported_top_level_modules(package: Path) -> set[str]:
     """The top-level names of every absolute import in the package's modules."""
-    names = set()
-    for path in package.rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names.update(alias.name.partition(".")[0] for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names.add(node.module.partition(".")[0])
-    return names
+    return set().union(*(module_imports(path) for path in package.rglob("*.py")))
 
 
 def test_every_third_party_import_is_a_declared_dependency():
@@ -33,3 +37,10 @@ def test_every_third_party_import_is_a_declared_dependency():
     third_party = imported - set(sys.stdlib_module_names) - {"mlcvqkd"}
     assert "numpy" in third_party  # the scan found the imports
     assert sorted(third_party - declared) == []
+
+
+def test_only_the_errors_module_imports_numbers():
+    # errors.integer and errors.real_number hold the one integer and one real-number rule
+    package = ROOT / "src" / "mlcvqkd"
+    importers = sorted(path.name for path in package.rglob("*.py") if "numbers" in module_imports(path))
+    assert importers == ["errors.py"]

@@ -202,8 +202,9 @@ class TestEncodingRules:
             encode(NAMED_RULES["rule1"], 9)
 
     def test_rejects_non_bit_strings(self):
-        with pytest.raises(InvalidParameterError):
-            EncodingRule(rule_id="bad", mapping={1: "0x1"})
+        for bits in ("0x1", 101, b"01"):
+            with pytest.raises(InvalidParameterError, match="non-bit-string"):
+                EncodingRule(rule_id="bad", mapping={1: bits})
 
     def test_rejects_two_states_with_the_same_bits(self):
         # distinct bits per state make bit agreement the same as state agreement
