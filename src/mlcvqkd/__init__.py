@@ -29,6 +29,7 @@ from .keyrate import (
     covariance_z,
     delta_n,
     holevo_chi_be,
+    key_rates,
     mutual_information,
     optimize_vm,
     rate_asymptotic,

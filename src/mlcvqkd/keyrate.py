@@ -34,6 +34,7 @@ traditional rate structure for conservative comparisons.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -48,6 +49,7 @@ _LAMBDA_TOLERANCE = 1e-9
 _COARSE_POINTS = 32  # optimize_vm's log-spaced grid over [v_lo, v_hi]
 _XTOL = 0.01  # optimize_vm's golden-section tolerance on V_m
 _GOLDEN_STEPS = 3100  # log(1.8e308 / 5e-324) / log(1 / 0.618): about 3020 steps
+_KERNEL_POINTS = 512  # key_rates evaluates at most this many points at once, so its temporaries stay small
 
 
 class Protocol(str, Enum):
@@ -274,14 +276,8 @@ def _weights_eight(a2: float) -> list[float]:
     ]
 
 
-@functools.lru_cache(maxsize=128, typed=True)
-def covariance_z(protocol: Protocol, vm: float) -> float:
-    """Alice-Bob correlation Z for the given protocol at variance vm.
-
-    The last 128 values are cached by typed key, so True is rejected, not
-    served as 1.0. The arguments are coerced first, so equal keys of other
-    types ("gaussian", a numpy float) return a float.
-    """
+def _covariance_z(protocol: Protocol, vm: float) -> float:
+    """covariance_z without the cache."""
     try:
         protocol = Protocol(protocol)
     except ValueError:
@@ -306,6 +302,28 @@ def covariance_z(protocol: Protocol, vm: float) -> float:
         l_prev = weights[k - 1]  # k=0 wraps to the last weight
         total += l_prev ** 1.5 / math.sqrt(l_k)
     return 2.0 * a2 * total
+
+
+# the rate path passes a checked protocol and V_m, so it calls the cache directly
+_cached_z = functools.lru_cache(maxsize=128, typed=True)(_covariance_z)
+
+
+def covariance_z(protocol: Protocol, vm: float) -> float:
+    """Alice-Bob correlation Z for the given protocol at variance vm.
+
+    The last 128 values are cached by typed key, so True is rejected, not
+    served as 1.0. The arguments are coerced first, so equal keys of other
+    types ("gaussian", a numpy float) return a float. An unhashable
+    argument is checked without the cache, and rejected.
+    """
+    try:
+        return _cached_z(protocol, vm)
+    except TypeError:  # lru_cache hashes the arguments before the body checks them
+        return _covariance_z(protocol, vm)
+
+
+covariance_z.cache_clear = _cached_z.cache_clear
+covariance_z.__wrapped__ = _covariance_z
 
 
 def symplectic_eigenvalues(params: KeyRateParams, z: float) -> tuple[float, float, float, float, float]:
@@ -354,7 +372,7 @@ def _eig_pair(s: float, p: float, which: str) -> tuple[float, float]:
 
 def holevo_chi_be(params: KeyRateParams) -> tuple[float, float, tuple[float, ...]]:
     """Holevo bound chi_BE, never below 0; returns (chi, z, lambdas)."""
-    z = covariance_z(params.protocol, params.vm)
+    z = _cached_z(params.protocol, params.vm)
     try:
         lams = symplectic_eigenvalues(params, z)
     except OverflowError:  # a power of a covariance term past the float range
@@ -375,8 +393,14 @@ def delta_n(params: KeyRateParams) -> float:
     return (2 * DIM_HB + 3) * math.sqrt(math.log2(2.0 / params.eps_bar) / n) + (2.0 / n) * math.log2(1.0 / params.eps_pa)
 
 
+def _check_params(params) -> None:
+    if not isinstance(params, KeyRateParams):
+        raise InvalidParameterError(f"params must be a KeyRateParams, got {params!r}")
+
+
 def _rate(params: KeyRateParams, finite: bool) -> RateResult:
     """The one body of rate_asymptotic and rate_finite."""
+    _check_params(params)
     d = delta_n(params) if finite else None
     i_ab = mutual_information(params)
     if params.protocol is Protocol.ML:
@@ -409,39 +433,136 @@ def rate_finite(params: KeyRateParams) -> RateResult:
     return _rate(params, finite=True)
 
 
+def _log2(x: np.ndarray) -> np.ndarray:
+    # math.log2 of each element, as the scalar rate takes it: np.log2 rounds some results differently
+    return np.fromiter(map(math.log2, x.tolist()), float, len(x))
+
+
+def _squared(x: np.ndarray) -> np.ndarray:
+    # x ** 2 of each element as a Python float, which is libm's pow(x, 2); numpy's x ** 2 is x * x, which
+    # can differ in the last bit
+    return np.fromiter(map(pow, x.tolist(), itertools.repeat(2)), float, len(x))
+
+
+def _entropy_g_array(lam: np.ndarray) -> np.ndarray:
+    """entropy_g((lam - 1) / 2) at each eigenvalue lam >= 1 (or NaN)."""
+    x = (lam - 1.0) / 2.0
+    zero = x == 0.0
+    x = np.where(zero, 1.0, x)  # math.log2(0) raises; G(0) = 0 is set below
+    g = (x + 1.0) * _log2(x + 1.0) - x * _log2(x)
+    g[zero] = 0.0
+    return g
+
+
+def _eig_pairs(s: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_eig_pair at each element: both eigenvalues, and where _eig_pair raises."""
+    disc = s * s - 4.0 * p
+    negative = disc < 0
+    failed = negative & ~(disc > -1e-9 * np.maximum(s * s, 1.0))
+    root = np.sqrt(np.where(negative, 0.0, disc))
+    pair = []
+    for sq in ((s + root) / 2.0, (s - root) / 2.0):
+        lam = np.sqrt(sq)
+        failed |= (sq < 0) | (lam < 1.0 - _LAMBDA_TOLERANCE)
+        pair.append(np.where(lam < 1.0, 1.0, lam))
+    return pair[0], pair[1], failed
+
+
+def _holevo_chi_be_array(params: KeyRateParams, vms, v, t, chi_line, chi_tot) -> tuple[np.ndarray, np.ndarray]:
+    """holevo_chi_be's chi at each point, and where symplectic_eigenvalues raises."""
+    vm_list, z_of = vms.tolist(), {}
+    for vm in vm_list:  # covariance_z once per distinct V_m
+        if vm not in z_of:
+            try:
+                z_of[vm] = _cached_z(params.protocol, vm)
+            except NumericalDomainError:  # a NaN Z fails the point, and the scalar rate raises this error again
+                z_of[vm] = math.nan
+    z = np.array([z_of[vm] for vm in vm_list])
+    chi_het = params.chi_het
+    # symplectic_eigenvalues, term by term in its order of operations
+    a = v * v + t * t * _squared(v + chi_line) - 2.0 * t * z * z
+    b = _squared(t * (v * v + v * chi_line - z * z))
+    lam1, lam2, failed = _eig_pairs(a, b)
+    denom = _squared(t * (v + chi_tot))
+    root_b = np.sqrt(b)
+    c = (a * chi_het * chi_het + b + 1.0
+         + 2.0 * chi_het * (v * root_b + t * (v + chi_line))
+         + 2.0 * t * z * z) / denom
+    d = _squared(v + root_b * chi_het) / denom
+    lam3, lam4, failed34 = _eig_pairs(c, d)
+    # the fifth eigenvalue is 1, whose G(0) = 0 changes no bit of the sum
+    chi = _entropy_g_array(lam1) + _entropy_g_array(lam2) - _entropy_g_array(lam3) - _entropy_g_array(lam4)
+    return np.where(chi < 0.0, 0.0, chi), failed | failed34
+
+
+def _key_rates_unchecked(params: KeyRateParams, vms, t, d) -> tuple[np.ndarray, np.ndarray]:
+    """_rate's key at each point, and where _rate raises; d is Delta(n) or None."""
+    v = vms + 1.0
+    chi_line = 1.0 / t - 1.0 + params.excess_noise
+    chi_tot = chi_line + params.chi_het / t
+    i_ab = _log2((v + chi_tot) / (1.0 + chi_tot))
+    if params.protocol is Protocol.ML:
+        eve, gain, failed = params.ml_eve_term, params.beta * params.lam * i_ab, False
+    else:
+        eve, failed = _holevo_chi_be_array(params, vms, v, t, chi_line, chi_tot)
+        gain = params.beta * i_ab
+    key = gain - eve if d is None else params.n / params.big_n * (gain - eve - d)
+    return key, failed | ~np.isfinite(key)
+
+
+def _real_array(name: str, values) -> np.ndarray:
+    try:
+        array = np.asarray(values)
+    except ValueError:  # a ragged nesting
+        array = None
+    if array is None or array.ndim != 1 or array.dtype.kind not in "iuf":
+        raise InvalidParameterError(f"{name} must be a 1-d array of real numbers, got {values!r}")
+    return array.astype(float, copy=False)
+
+
+def key_rates(params: KeyRateParams, vms, transmittances) -> np.ndarray:
+    """Key rate of params.protocol at each (vms[i], transmittances[i]).
+
+    The rate is rate_finite's when params carries n and big_n, else
+    rate_asymptotic's, and each element equals, bit for bit,
+    rate_of(params.at(vm=vms[i], transmittance=transmittances[i])).key_rate:
+    the arithmetic and square roots are numpy's, which round as Python
+    floats do, but each log2 and each ``** 2`` is Python's, one element at
+    a time. The other fields of params apply to every point. Points are
+    evaluated in order, at most _KERNEL_POINTS (512) at once; where one
+    fails a check or its key is not finite, the scalar rate at that point
+    raises its typed error.
+    """
+    _check_params(params)
+    vms, t = _real_array("vms", vms), _real_array("transmittances", transmittances)
+    if vms.shape != t.shape:
+        raise InvalidParameterError(f"vms and transmittances differ in length: {len(vms)} and {len(t)}")
+    for check, values, valid in ((_checked_vm, vms, (vms > 0) & (vms < math.inf)),
+                                 (_checked_transmittance, t, (t > 0) & (t <= 1))):
+        if not valid.all():  # the scalar check raises its error for the first invalid element
+            check(float(values[np.argmin(valid)]))
+    rate_of = rate_asymptotic if params.n is None else rate_finite
+    d = None if params.n is None else delta_n(params)
+    keys = np.empty(len(vms))
+    for start in range(0, len(vms), _KERNEL_POINTS):
+        chunk_vms, chunk_t = vms[start:start + _KERNEL_POINTS], t[start:start + _KERNEL_POINTS]
+        with np.errstate(all="ignore"):
+            try:
+                key, failed = _key_rates_unchecked(params, chunk_vms, chunk_t, d)
+            except OverflowError:  # a Python ** 2 past the float range; the scalar rate finds the point
+                key, failed = np.empty(len(chunk_vms)), np.ones(len(chunk_vms), dtype=bool)
+        for i in np.flatnonzero(failed):  # in evaluation order, so the first failing point raises
+            key[i] = rate_of(params.at(vm=float(chunk_vms[i]), transmittance=float(chunk_t[i]))).key_rate
+        keys[start:start + len(key)] = key
+    return keys
+
+
 @dataclass(frozen=True)
 class OptimalVariance:
     distance_km: float
     vm: float
     key_rate: float
     no_positive_rate: bool
-
-
-def _golden_section_max(f, lo: float, hi: float, xtol: float) -> float:
-    """Argmax of a unimodal f on [lo, hi] to within xtol.
-
-    An xtol below the float resolution of the bracket cannot be met: the
-    ends stop moving once they are adjacent floats. The search therefore
-    also stops after _GOLDEN_STEPS steps; each step keeps 0.618 of the
-    bracket, so by then any bracket has shrunk to its resolution.
-    """
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(_GOLDEN_STEPS):
-        if b - a <= xtol:
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return (a + b) / 2.0
 
 
 def optimize_vm(distances_km, params: KeyRateParams, v_lo: float = 0.05,
@@ -453,9 +574,17 @@ def optimize_vm(distances_km, params: KeyRateParams, v_lo: float = 0.05,
     optimum (the rate surface is near-flat around it at long distance),
     then golden-section search refines within the bracketing grid interval
     to 0.01. Distances where even the best rate is nonpositive are flagged.
+
+    The coarse grids of all distances are one key_rates call, and their
+    golden-section steps run in lockstep, one call a step over the
+    distances still searching. A distance leaves once its bracket is
+    within 0.01, or after _GOLDEN_STEPS steps: where adjacent floats are
+    more than 0.01 apart the ends stop moving, and each step keeps 0.618
+    of the bracket, so by then any bracket has shrunk to its float
+    resolution. The reported rate is one rate_asymptotic or rate_finite
+    call a distance, at the optimum.
     """
-    if not isinstance(params, KeyRateParams):
-        raise InvalidParameterError(f"params must be a KeyRateParams, got {params!r}")
+    _check_params(params)
     try:
         if isinstance(distances_km, (str, bytes)):  # iterable, but over its characters
             raise TypeError
@@ -467,25 +596,39 @@ def optimize_vm(distances_km, params: KeyRateParams, v_lo: float = 0.05,
     if not (math.isfinite(v_lo) and math.isfinite(v_hi) and 0 < v_lo < v_hi):
         raise InvalidParameterError(f"need finite 0 < v_lo < v_hi, got [{v_lo}, {v_hi}]")
     rate_of = rate_asymptotic if params.n is None else rate_finite
+    if not distances_km:
+        return []
+    t = np.array([transmittance_from_distance(distance) for distance in distances_km])
+
+    grid = np.geomspace(v_lo, v_hi, _COARSE_POINTS)
+    coarse = key_rates(params, np.tile(grid, len(t)), np.repeat(t, _COARSE_POINTS))
+    best = coarse.reshape(len(t), _COARSE_POINTS).argmax(axis=1)  # the first maximum; every rate is finite
+    a = grid[np.maximum(best - 1, 0)]
+    b = grid[np.minimum(best + 1, _COARSE_POINTS - 1)]
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = key_rates(params, np.column_stack([c, d]).ravel(), np.repeat(t, 2)).reshape(-1, 2).T
+    active = np.arange(len(t))
+    for _ in range(_GOLDEN_STEPS):
+        active = active[b[active] - a[active] > _XTOL]
+        if not active.size:
+            break
+        left = fc[active] >= fd[active]
+        lo, hi = active[left], active[~left]  # the maximum is in [a, d], or in [c, b]
+        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
+        c[lo] = b[lo] - inv_phi * (b[lo] - a[lo])
+        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
+        d[hi] = a[hi] + inv_phi * (b[hi] - a[hi])
+        f = key_rates(params, np.where(left, c[active], d[active]), t[active])
+        fc[lo], fd[hi] = f[left], f[~left]
 
     results = []
-    # Python floats: numpy scalars would make every rate slower and warn on overflow
-    grid = [float(v) for v in np.geomspace(v_lo, v_hi, _COARSE_POINTS)]
-    for distance in distances_km:
-        point = params.at(transmittance=transmittance_from_distance(distance))
-
-        def rate(vm: float) -> float:
-            return rate_of(point.at(vm=vm)).key_rate
-
-        coarse = [rate(v) for v in grid]
-        best = coarse.index(max(coarse))  # the first maximum, as np.argmax; every rate is finite
-        lo = grid[max(best - 1, 0)]
-        hi = grid[min(best + 1, len(grid) - 1)]
-        vm_opt = _golden_section_max(rate, lo, hi, _XTOL)
-        key = rate(vm_opt)
+    for distance, transmittance, vm_opt in zip(distances_km, t.tolist(), ((a + b) / 2.0).tolist()):
+        key = rate_of(params.at(vm=vm_opt, transmittance=transmittance)).key_rate
         results.append(OptimalVariance(
             distance_km=float(distance),
-            vm=float(vm_opt),
+            vm=vm_opt,
             key_rate=float(key),
             no_positive_rate=bool(key <= 0.0),
         ))

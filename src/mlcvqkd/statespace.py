@@ -16,9 +16,9 @@ labels, or to 0 for an erasure.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
 
 import numpy as np
 
@@ -121,6 +121,8 @@ class EncodingRule:
     mapping: Mapping[int, str] = field(hash=False)
 
     def __post_init__(self):
+        if not isinstance(self.mapping, Mapping):
+            raise InvalidParameterError(f"rule {self.rule_id}: mapping must be a Mapping, got {self.mapping!r}")
         owner = {}
         for k, bits in self.mapping.items():
             if not isinstance(bits, str) or not bits or any(c not in "01" for c in bits):

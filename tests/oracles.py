@@ -41,7 +41,7 @@ from mlcvqkd.keyrate import (
     OptimalVariance,
     Protocol,
     RateResult,
-    _golden_section_max,
+    _GOLDEN_STEPS,
     delta_n,
     holevo_chi_be,
     mutual_information,
@@ -329,6 +329,28 @@ def scan_state_for_flags(scheme, flag_row):
         if labels_of(point) == labels:
             return index
     return 0
+
+
+def _golden_section_max(f, lo: float, hi: float, xtol: float) -> float:
+    """Argmax of a unimodal f on [lo, hi] to within xtol, one scalar point
+    a step: the package's earlier golden-section search, kept verbatim."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(_GOLDEN_STEPS):
+        if b - a <= xtol:
+            break
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+    return (a + b) / 2.0
 
 
 def per_point_optimize_vm(protocol, distances_km, params, v_lo=0.05, v_hi=20.0,

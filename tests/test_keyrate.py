@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -19,13 +20,13 @@ from mlcvqkd.errors import InvalidParameterError, NumericalDomainError
 from mlcvqkd.keyrate import (
     KeyRateParams,
     Protocol,
-    _golden_section_max,
     _weights_eight,
     _weights_four,
     covariance_z,
     delta_n,
     entropy_g,
     holevo_chi_be,
+    key_rates,
     mutual_information,
     optimize_vm,
     rate_asymptotic,
@@ -326,6 +327,16 @@ class TestCorrelationZ:
         with pytest.raises(InvalidParameterError, match="unknown protocol 'bogus'"):
             covariance_z("bogus", 1.0)
 
+    @pytest.mark.parametrize("protocol, vm, message", [
+        (Protocol.GAUSSIAN, [1.0], "vm must be a real number"),
+        (Protocol.EIGHT_STATE, np.array(1.0), "vm must be a real number"),
+        (["gaussian"], 1.0, "unknown protocol"),
+    ])
+    def test_unhashable_arguments_rejected(self, protocol, vm, message):
+        # the cache hashed them first, so a list was once a raw TypeError ("unhashable type: 'list'")
+        with pytest.raises(InvalidParameterError, match=message):
+            covariance_z(protocol, vm)
+
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_equal_keys_give_one_float(self, protocol):
         covariance_z.cache_clear()
@@ -513,9 +524,16 @@ class TestRates:
 
 
 class TestOptimizeVm:
-    def test_golden_section_on_parabola(self):
-        got = _golden_section_max(lambda x: -(x - 2.0) ** 2, 0.0, 5.0, 0.001)
-        assert got == pytest.approx(2.0, abs=0.001)
+    def test_golden_section_on_parabola(self, monkeypatch):
+        def parabola(vms):
+            return -(np.asarray(vms) - 2.0) ** 2
+
+        monkeypatch.setattr(keyrate, "_XTOL", 0.001)
+        monkeypatch.setattr(keyrate, "key_rates", lambda params, vms, t: parabola(vms))
+        monkeypatch.setattr(keyrate, "rate_asymptotic",
+                            lambda params: keyrate.RateResult(params.protocol, float(parabola(params.vm)), 1.0, 0.0))
+        [best] = optimize_vm([10.0], KeyRateParams(vm=1.0, transmittance=0.5), v_lo=0.05, v_hi=5.0)
+        assert best.vm == pytest.approx(2.0, abs=0.001)
 
     def test_matches_dense_grid_scan(self):
         params = KeyRateParams(vm=1.0, transmittance=0.5)
@@ -547,10 +565,15 @@ class TestOptimizeVm:
         grid = [float(v) for v in np.geomspace(0.05, 20.0, keyrate._COARSE_POINTS)]
         asked = []
 
+        def plateau_rates(params, vms, transmittances):
+            asked.extend(np.asarray(vms).tolist())
+            return np.minimum(vms, grid[plateau])
+
         def plateau_rate(params):
             asked.append(params.vm)
             return keyrate.RateResult(params.protocol, min(params.vm, grid[plateau]), 1.0, 0.0)
 
+        monkeypatch.setattr(keyrate, "key_rates", plateau_rates)
         monkeypatch.setattr(keyrate, "rate_asymptotic", plateau_rate)
         [best] = optimize_vm([20.0], KeyRateParams(vm=1.0, transmittance=0.5))
         lo, hi = grid[max(plateau - 1, 0)], grid[plateau + 1]
@@ -609,15 +632,17 @@ class TestOptimizeVm:
         # the ML rate rises with V_m, so the search closes on 1e18, where adjacent floats are 128 apart and
         # the 0.01 tolerance is out of reach: the step cap ends it; a separate process bounds a hang
         code = ("from mlcvqkd import keyrate; "
-                "calls = []; rate = keyrate.rate_asymptotic; "
+                "calls = []; rate = keyrate.rate_asymptotic; rates = keyrate.key_rates; "
                 "keyrate.rate_asymptotic = lambda p: calls.append(p) or rate(p); "
+                "keyrate.key_rates = lambda p, vms, t: calls.extend(vms) or rates(p, vms, t); "
                 "params = keyrate.KeyRateParams(vm=1.0, transmittance=0.5, protocol='ml'); "
                 "best = keyrate.optimize_vm([10.0], params, v_lo=1e17, v_hi=1e18)[0]; "
                 "print(len(calls), 9e17 < best.vm <= 1e18, best.key_rate > 0)")
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
                                 env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
         assert result.returncode == 0, result.stderr
-        # the coarse grid, the first two golden-section points, one per capped step and the optimum
+        # kernel points: the coarse grid, the first two golden-section points and one per capped step; then
+        # one public rate at the optimum
         assert result.stdout.split() == [str(32 + 2 + keyrate._GOLDEN_STEPS + 1), "True", "True"]
 
 
@@ -741,10 +766,13 @@ class TestAtCopies:
 
 
 class TestRateCallCounts:
-    """Every rate point is one call of the public rate_asymptotic or rate_finite.
+    """Every rate point of a table is one call of the public rate_asymptotic
+    or rate_finite; optimize_vm evaluates its search points with key_rates
+    and makes one public call a distance, at the optimum.
 
-    The counts were measured before the points became copies, and the
-    benchmark's tracer times a key-rate layer through exactly these calls.
+    The totals were measured when every optimize_vm point was a public
+    call, and the benchmark's tracer times a key-rate layer through the
+    public calls.
     """
 
     @pytest.fixture
@@ -756,22 +784,154 @@ class TestRateCallCounts:
                 return _rate(params)
             for module in (keyrate, cli):
                 monkeypatch.setattr(module, name, counted)
+
+        def counted_points(params, vms, transmittances, _rates=keyrate.key_rates):
+            counts["kernel_points"] += len(vms)
+            return _rates(params, vms, transmittances)
+
+        monkeypatch.setattr(keyrate, "key_rates", counted_points)
         return counts
 
     def test_asymptotic_optimize(self, calls):
         optimize_vm([10.0, 80.0], KeyRateParams(vm=1.0, transmittance=0.5, protocol="four-state"))
-        assert calls == {"rate_asymptotic": 83}
+        assert calls == {"kernel_points": 83 - 2, "rate_asymptotic": 2}
 
     def test_finite_optimize(self, calls):
         optimize_vm([10.0, 80.0], KeyRateParams(vm=1.0, transmittance=0.5, protocol="eight-state",
                                                 n=500_000, big_n=1_000_000))
-        assert calls == {"rate_finite": 86}
+        assert calls == {"kernel_points": 86 - 2, "rate_finite": 2}
 
     def test_keyrate_command(self, calls, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"keyrate": {"distances_km": list(range(151))}}))
         assert cli.main(["--config", str(config), "--out", str(tmp_path), "keyrate"]) == 0
         assert calls == {"rate_asymptotic": 151}
+
+
+KERNEL_DISTANCES = (0.0, 1.0, 5.0, 10.0, 20.0, 50.0, 80.0, 100.0, 150.0, 200.0, 300.0, 500.0, 1000.0, 1500.0)
+
+
+def scalar_outcome(params: KeyRateParams, vms, transmittances):
+    """The public rate at each point in turn: the keys, or the error of the first point that raises."""
+    rate_of = rate_asymptotic if params.n is None else rate_finite
+    try:
+        return [rate_of(params.at(vm=vm, transmittance=t)).key_rate for vm, t in zip(vms, transmittances)]
+    except NumericalDomainError as exc:
+        return type(exc), str(exc), exc.values
+
+
+def kernel_outcome(params: KeyRateParams, vms, transmittances):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning fails the test
+            keys = key_rates(params, vms, transmittances)
+    except NumericalDomainError as exc:
+        return type(exc), str(exc), exc.values
+    assert type(keys) is np.ndarray and keys.dtype == np.float64 and keys.shape == (len(vms),)
+    return keys.tolist()
+
+
+class TestKeyRateKernel:
+    """key_rates returns, bit for bit, the public scalar rate at every point, or raises its error."""
+
+    @pytest.mark.parametrize("finite", [False, True])
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_equals_the_scalar_rate_bit_for_bit(self, protocol, finite):
+        params = KeyRateParams(vm=1.0, transmittance=0.5, protocol=protocol, **(FINITE_BLOCK if finite else {}))
+        grid = np.geomspace(0.05, 20.0, 97).tolist()  # 97 x 14 points: more than one kernel chunk
+        vms = grid * len(KERNEL_DISTANCES)
+        ts = [transmittance_from_distance(d) for d in KERNEL_DISTANCES for _ in grid]
+        got, want = kernel_outcome(params, vms, ts), scalar_outcome(params, vms, ts)
+        assert len(vms) > keyrate._KERNEL_POINTS
+        assert repr(got) == repr(want)  # repr tells every float bit apart, -0.0 from 0.0 included
+        if protocol is not Protocol.ML and not finite:
+            # I is 0 at 1000 and 1500 km, and where chi_BE cancels below 0 it is clamped, so the key is exactly 0
+            far = got[-2 * len(grid):]
+            assert max(far) == 0.0 and far.count(0.0) > len(grid) // 2
+
+    @given(p=rate_points(), points=st.lists(st.tuples(st.floats(min_value=1e-3, max_value=100.0),
+                                                      st.floats(min_value=1e-5, max_value=1.0)), max_size=20))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_scalar_rate_on_drawn_points(self, p, points):
+        vms, ts = [vm for vm, _ in points], [t for _, t in points]
+        assert repr(kernel_outcome(p, vms, ts)) == repr(scalar_outcome(p, vms, ts))
+
+    @pytest.mark.parametrize("finite", [False, True])
+    @pytest.mark.parametrize("field, value, message", [
+        ("eta", 5e-324, "key rate is not finite"),
+        ("eta", 1e-300, "covariance terms overflow"),
+    ])
+    def test_a_failing_point_raises_the_scalar_error(self, finite, field, value, message):
+        params = KeyRateParams(vm=1.0, transmittance=0.5, protocol=Protocol.EIGHT_STATE, **{field: value},
+                               **(FINITE_BLOCK if finite else {}))
+        vms, ts = [0.35, 1.0, 5.0], [0.9, 0.5, 0.1]
+        got = kernel_outcome(params, vms, ts)
+        assert message in got[1]
+        assert repr(got) == repr(scalar_outcome(params, vms, ts))
+
+    @pytest.mark.parametrize("protocol", [Protocol.FOUR_STATE, Protocol.EIGHT_STATE])
+    def test_the_first_failing_point_in_order_raises(self, protocol):
+        # the constellation weights overflow above V_m of about 1420; 5000 comes before 3000, which
+        # falls in the next chunk of the call, and 2000 before 5000 in the same chunk
+        params = KeyRateParams(vm=1.0, transmittance=0.5, protocol=protocol)
+        chunk = keyrate._KERNEL_POINTS
+        vms = [1.0] * (3 * chunk)
+        vms[chunk + 100], vms[2 * chunk + 10] = 5000.0, 3000.0
+        with pytest.raises(NumericalDomainError, match=r"constellation weights overflow \(vm=5000.0\)"):
+            key_rates(params, vms, [0.5] * len(vms))
+        vms[chunk + 50] = 2000.0
+        assert "vm=2000.0" in kernel_outcome(params, vms, [0.5] * len(vms))[1]
+
+    def test_empty_input_is_an_empty_array(self):
+        keys = key_rates(KeyRateParams(vm=1.0, transmittance=0.5), [], np.array([]))
+        assert keys.shape == (0,) and keys.dtype == np.float64
+
+    @pytest.mark.parametrize("vms, transmittances, message", [
+        ([1.0, -1.0], [0.5, 0.5], "modulation variance must be finite and positive, got -1.0"),
+        ([1.0, math.nan], [0.5, 0.5], "modulation variance must be finite and positive, got nan"),
+        ([math.inf], [0.5], "modulation variance must be finite and positive, got inf"),
+        ([1.0], [1.5], r"transmittance must be in \(0, 1\], got 1.5"),
+        ([1.0], [0.0], r"transmittance must be in \(0, 1\], got 0.0"),
+        ([1.0], [0.5, 0.2], "vms and transmittances differ in length: 1 and 2"),
+        ([True], [0.5], "vms must be a 1-d array of real numbers"),
+        (["1"], [0.5], "vms must be a 1-d array of real numbers"),
+        (None, [0.5], "vms must be a 1-d array of real numbers"),
+        (1.0, [0.5], "vms must be a 1-d array of real numbers"),
+        ([[1.0]], [0.5], "vms must be a 1-d array of real numbers"),
+        ([[1.0], [1.0, 2.0]], [0.5], "vms must be a 1-d array of real numbers"),
+        ([1.0], [None], "transmittances must be a 1-d array of real numbers"),
+    ])
+    def test_bad_points_rejected(self, vms, transmittances, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            key_rates(KeyRateParams(vm=1.0, transmittance=0.5), vms, transmittances)
+
+    @pytest.mark.parametrize("rate", [rate_asymptotic, rate_finite, lambda p: key_rates(p, [1.0], [0.5])])
+    def test_params_must_be_key_rate_params(self, rate):
+        # None was once a raw AttributeError ('NoneType' object has no attribute 'n')
+        with pytest.raises(InvalidParameterError, match="params must be a KeyRateParams, got None"):
+            rate(None)
+
+    @pytest.mark.parametrize("finite", [False, True])
+    @pytest.mark.parametrize("protocol", [Protocol.GAUSSIAN, Protocol.FOUR_STATE, Protocol.EIGHT_STATE])
+    def test_optimize_vm_equals_the_per_point_search_field_for_field(self, protocol, finite):
+        params = KeyRateParams(vm=1.0, transmittance=0.5, protocol=protocol, **(FINITE_BLOCK if finite else {}))
+        distances = range(10, 151)
+        got = optimize_vm(distances, params)
+        want = per_point_optimize_vm(protocol, distances, params, finite=finite)
+        assert [repr(dataclasses.astuple(r)) for r in got] == [repr(dataclasses.astuple(r)) for r in want]
+
+    @pytest.mark.parametrize("params, v_hi, message", [
+        (KeyRateParams(vm=1.0, transmittance=0.5, eta=5e-324), 20.0, "key rate is not finite"),
+        (KeyRateParams(vm=1.0, transmittance=0.5, protocol="four-state"), 5000.0, "constellation weights overflow"),
+    ])
+    def test_optimize_vm_raises_the_per_point_error(self, params, v_hi, message):
+        with pytest.raises(NumericalDomainError, match=message) as want:
+            per_point_optimize_vm(params.protocol, [10.0, 20.0], params, v_hi=v_hi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalDomainError) as got:
+                optimize_vm([10.0, 20.0], params, v_hi=v_hi)
+        assert str(got.value) == str(want.value)
 
 
 RATE_BODIES = {False: (rate_asymptotic, separate_rate_asymptotic), True: (rate_finite, separate_rate_finite)}

@@ -206,6 +206,12 @@ class TestEncodingRules:
             with pytest.raises(InvalidParameterError, match="non-bit-string"):
                 EncodingRule(rule_id="bad", mapping={1: bits})
 
+    @pytest.mark.parametrize("mapping", [None, [(1, "0")], {1: "0"}.items()])
+    def test_rejects_a_mapping_that_is_not_a_mapping(self, mapping):
+        # None was once a raw AttributeError ('NoneType' object has no attribute 'items')
+        with pytest.raises(InvalidParameterError, match="mapping must be a Mapping"):
+            EncodingRule(rule_id="bad", mapping=mapping)
+
     def test_rejects_two_states_with_the_same_bits(self):
         # distinct bits per state make bit agreement the same as state agreement
         with pytest.raises(InvalidParameterError, match="states 1 and 3 both map to '01'"):
