@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InvalidParameterError, integer, real_number
+from .errors import InvalidInputError, InvalidParameterError, array, integer, real_number
 
 DEFAULT_LOSS_DB_PER_KM = 0.2
 DEFAULT_SHOT_NOISE = 1.0
@@ -69,6 +69,9 @@ class RandomSource:
 
     def split(self, n: int) -> list["RandomSource"]:
         """n independent child sources, deterministic in the parent seed."""
+        n = integer("n", n)
+        if n < 0:
+            raise InvalidParameterError(f"n must be a nonnegative integer, got {n}")
         children = self.sequence.spawn(n)
         return [RandomSource(seed=None, _sequence=c) for c in children]
 
@@ -125,17 +128,14 @@ class ChannelParams:
 
 
 def transmit_batch(points: np.ndarray, params: ChannelParams, rng: RandomSource) -> np.ndarray:
-    """Send an (n, 2) array of (q, p) rows through the channel.
+    """Send an (n, 2) array of finite (q, p) rows through the channel.
 
     One reproducible noise stream covers the whole batch; output row i is
     the transmitted row i. Returns an (n, 2) array.
     """
-    points = np.asarray(points, dtype=float)
-    if points.size == 0:
-        return np.empty((0, 2))
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise InvalidParameterError(f"expected an (n, 2) array of points, got shape {points.shape}")
-
+    points = array("points", points, (None, 2))
+    if not np.isfinite(points).all():
+        raise InvalidInputError("points must be finite")
     n = points.shape[0]
     q, p = points[:, 0], points[:, 1]
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParameterError, NumericalDomainError, integer, real_number
+from .errors import InvalidInputError, InvalidParameterError, NumericalDomainError, array, integer, real_number
 
 _NEIGHBOR_BLOCK_BYTES = 8 * 2**20  # memory of one batch of the neighbour search
 
@@ -88,18 +88,13 @@ class TrainedClassifier:
             raise InvalidInputError("not a version-1 classifier document")
         try:
             params = QmlcParams(**doc["params"])
-            clf = cls(
-                params=params,
-                features=np.asarray(doc["features"], dtype=float),
-                label_flags=np.asarray(doc["label_flags"], dtype=bool),
-                prior_pos=np.asarray(doc["prior_pos"], dtype=float),
-                counts_pos=np.asarray(doc["counts_pos"], dtype=float),
-                counts_neg=np.asarray(doc["counts_neg"], dtype=float),
-            )
-            m, n_labels = clf.label_flags.shape
-            if (clf.features.ndim != 2 or clf.n_training != m or clf.prior_pos.shape != (n_labels,)
-                    or {clf.counts_pos.shape, clf.counts_neg.shape} != {(n_labels, params.k + 1)}):
-                raise ValueError("its arrays disagree in shape")
+            features = array("features", doc["features"], (None, None))
+            label_flags = array("label_flags", doc["label_flags"], (len(features), None), bool)
+            n_labels = label_flags.shape[1]
+            counts = [array(name, doc[name], (n_labels, params.k + 1)) for name in ("counts_pos", "counts_neg")]
+            if not all(((c >= 0) & (c < math.inf)).all() for c in counts):
+                raise ValueError("counts must be finite and nonnegative")
+            clf = cls(params, features, label_flags, array("prior_pos", doc["prior_pos"], (n_labels,)), *counts)
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"classifier document has a missing or mistyped field: {exc}") from None
         return clf
@@ -333,13 +328,9 @@ def _neighbor_indices(queries, training, k, exclude_self=False):
 
 def train(features: np.ndarray, label_flags: np.ndarray, params: QmlcParams) -> TrainedClassifier:
     """Fit QMLC on (m, w) feature rows with (m, l) boolean label flags."""
-    features = np.asarray(features, dtype=float)
-    label_flags = np.asarray(label_flags, dtype=bool)
-    if features.ndim != 2 or label_flags.ndim != 2 or features.shape[0] != label_flags.shape[0]:
-        raise InvalidInputError(
-            f"features {features.shape} and label flags {label_flags.shape} must align on samples"
-        )
+    features = array("features", features, (None, None))
     m = features.shape[0]
+    label_flags = array("label_flags", label_flags, (m, None), bool)
     k, s = params.k, params.s
 
     n_labels = label_flags.shape[1]
@@ -363,7 +354,7 @@ def train(features: np.ndarray, label_flags: np.ndarray, params: QmlcParams) -> 
 def posterior_ratios(clf: TrainedClassifier, queries: np.ndarray) -> np.ndarray:
     """f(x, y_j) for each query row and label, shape (n, l); a ratio past
     the float range (from a tiny smoothing s) is a NumericalDomainError."""
-    queries = np.asarray(queries, dtype=float)
+    queries = array("queries", queries, (None, None))
     neighbors = _neighbor_indices(queries, clf.features, clf.params.k)
     c = clf.label_flags[neighbors].sum(axis=1)  # (n, l)
     labels_idx = np.arange(c.shape[1])

@@ -7,6 +7,8 @@ learning phase.
 
 import numbers
 
+import numpy as np
+
 
 class MlcvqkdError(Exception):
     """Base class for all package errors."""
@@ -45,6 +47,24 @@ class InvalidInputError(MlcvqkdError, ValueError):
     """Structurally bad input data (length mismatch, malformed config)."""
 
     exit_code = 2
+
+
+def array(name: str, value, shape: tuple, dtype=float) -> np.ndarray:
+    """An array argument's value as a numpy array of the given dtype, float
+    or bool; shape gives each axis's length, None where any length will do.
+    A ragged nesting, a dtype that is not integer or float (or bool, where
+    dtype is bool) or another shape is an InvalidInputError. A float64
+    array is returned as itself, uncopied."""
+    try:
+        values = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        values = None
+    if (values is None or values.dtype.kind not in ("biuf" if dtype is bool else "iuf")
+            or values.ndim != len(shape) or any(n not in (None, got) for got, n in zip(values.shape, shape))):
+        got = "a ragged nesting" if values is None else f"{values.dtype} of shape {values.shape}"
+        wanted = f"{str(shape).replace('None', 'any')} and {'flag' if dtype is bool else 'real'} values"
+        raise InvalidInputError(f"{name} must have shape {wanted}, got {got}")
+    return values.astype(dtype, copy=False)
 
 
 class NumericalDomainError(MlcvqkdError, ArithmeticError):

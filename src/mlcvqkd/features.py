@@ -13,20 +13,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParameterError, real_number
+from .errors import InvalidInputError, InvalidParameterError, array, real_number
 
 
 def extract_batch(points: np.ndarray, refs: np.ndarray) -> np.ndarray:
     """Feature vectors of an (n, 2) array of points against a (w, 2) array
-    of references, w >= 1; returns (n, w)."""
-    refs = np.asarray(refs, dtype=float)
-    if refs.ndim != 2 or refs.shape[0] < 1 or refs.shape[1] != 2:
-        raise InvalidParameterError(f"expected a (w, 2) array of w >= 1 references, got shape {refs.shape}")
-    points = np.asarray(points, dtype=float)
-    if points.size == 0:
-        return np.empty((0, len(refs)))
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise InvalidInputError(f"expected an (n, 2) array of points, got shape {points.shape}")
+    of finite references, w >= 1; returns (n, w)."""
+    refs = array("refs", refs, (None, 2))
+    if not (len(refs) and np.isfinite(refs).all()):
+        raise InvalidInputError("refs must hold at least one reference, and only finite ones")
+    points = array("points", points, (None, 2))
     diff = points[:, None, :] - refs[None, :, :]
     return np.sqrt(np.sum(diff * diff, axis=2))
 
@@ -35,7 +31,8 @@ def resolve_threshold(features: np.ndarray, threshold: float | None = None, quan
     """Resolve a filtering threshold.
 
     Either an absolute `threshold` (positive) or a `quantile` in (0, 1] of
-    the per-sample max-entry distribution; exactly one must be given.
+    the per-sample max-entry distribution, which must be finite; exactly
+    one must be given.
     """
     if (threshold is None) == (quantile is None):
         raise InvalidParameterError("give exactly one of threshold or quantile")
@@ -47,10 +44,13 @@ def resolve_threshold(features: np.ndarray, threshold: float | None = None, quan
     quantile = real_number("quantile", quantile)
     if not 0 < quantile <= 1:
         raise InvalidParameterError(f"quantile must be in (0, 1], got {quantile}")
-    features = np.asarray(features, dtype=float)
+    features = array("features", features, (None, None))
     if features.size == 0:
         raise InvalidParameterError("cannot resolve a quantile threshold on an empty population")
-    return float(np.quantile(features.max(axis=1), quantile))
+    largest = features.max(axis=1)
+    if not np.isfinite(largest).all():
+        raise InvalidInputError("a quantile threshold needs finite features")
+    return float(np.quantile(largest, quantile))
 
 
 def filter_features(features: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
@@ -64,9 +64,7 @@ def filter_features(features: np.ndarray, threshold: float) -> tuple[np.ndarray,
     classifier.
     """
     threshold = real_number("threshold", threshold)
-    features = np.asarray(features, dtype=float)
-    if features.size == 0:
-        return np.empty(0, dtype=int), np.empty(0, dtype=int)
+    features = array("features", features, (None, None))
     over = (features > threshold).any(axis=1)
     idx = np.arange(features.shape[0])
     return idx[~over], idx[over]

@@ -42,7 +42,7 @@ from enum import Enum
 import numpy as np
 
 from .channel import transmittance_from_distance
-from .errors import InvalidParameterError, NumericalDomainError, integer, real_number
+from .errors import InvalidParameterError, NumericalDomainError, array, integer, real_number
 
 DIM_HB = 2
 _LAMBDA_TOLERANCE = 1e-9
@@ -510,16 +510,6 @@ def _key_rates_unchecked(params: KeyRateParams, vms, t, d) -> tuple[np.ndarray, 
     return key, failed | ~np.isfinite(key)
 
 
-def _real_array(name: str, values) -> np.ndarray:
-    try:
-        array = np.asarray(values)
-    except ValueError:  # a ragged nesting
-        array = None
-    if array is None or array.ndim != 1 or array.dtype.kind not in "iuf":
-        raise InvalidParameterError(f"{name} must be a 1-d array of real numbers, got {values!r}")
-    return array.astype(float, copy=False)
-
-
 def key_rates(params: KeyRateParams, vms, transmittances) -> np.ndarray:
     """Key rate of params.protocol at each (vms[i], transmittances[i]).
 
@@ -534,9 +524,8 @@ def key_rates(params: KeyRateParams, vms, transmittances) -> np.ndarray:
     raises its typed error.
     """
     _check_params(params)
-    vms, t = _real_array("vms", vms), _real_array("transmittances", transmittances)
-    if vms.shape != t.shape:
-        raise InvalidParameterError(f"vms and transmittances differ in length: {len(vms)} and {len(t)}")
+    vms = array("vms", vms, (None,))
+    t = array("transmittances", transmittances, vms.shape)
     for check, values, valid in ((_checked_vm, vms, (vms > 0) & (vms < math.inf)),
                                  (_checked_transmittance, t, (t > 0) & (t <= 1))):
         if not valid.all():  # the scalar check raises its error for the first invalid element

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, array
 
 
 @dataclass
@@ -50,19 +50,10 @@ class PrfResult:
         return float(self.fpr.mean())
 
 
-def _as_flag_matrix(flags, name):
-    arr = np.asarray(flags, dtype=bool)
-    if arr.ndim != 2:
-        raise InvalidInputError(f"{name} must be a 2-D (samples, labels) flag array, got shape {arr.shape}")
-    return arr
-
-
 def prf(pred_flags: np.ndarray, true_flags: np.ndarray) -> PrfResult:
     """Per-label precision, recall and FPR from boolean flag matrices."""
-    pred = _as_flag_matrix(pred_flags, "predictions")
-    true = _as_flag_matrix(true_flags, "truths")
-    if pred.shape != true.shape:
-        raise InvalidInputError(f"prediction shape {pred.shape} != truth shape {true.shape}")
+    true = array("truths", true_flags, (None, None), bool)
+    pred = array("predictions", pred_flags, true.shape, bool)
 
     tp = (pred & true).sum(axis=0).astype(float)
     fp = (pred & ~true).sum(axis=0).astype(float)
@@ -84,10 +75,8 @@ def average_precision(scores: np.ndarray, true_flags: np.ndarray) -> float:
     Sums run in a fixed order: a sample's terms by ascending rank, then
     the samples in row order.
     """
-    scores = np.asarray(scores, dtype=float)
-    true = _as_flag_matrix(true_flags, "truths")
-    if scores.shape != true.shape:
-        raise InvalidInputError(f"score shape {scores.shape} != truth shape {true.shape}")
+    true = array("truths", true_flags, (None, None), bool)
+    scores = array("scores", scores, true.shape)
 
     n_true = true.sum(axis=1)
     scored = n_true > 0
@@ -126,8 +115,8 @@ def roc_curve(scores: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, float]
     Returns (points, auc) where points has rows (fpr, tpr); auc is nan
     when the label has no positive or no negative samples.
     """
-    scores = np.asarray(scores, dtype=float)
-    truth = np.asarray(truth, dtype=bool)
+    scores = array("scores", scores, (None,))
+    truth = array("truth", truth, scores.shape, bool)
     n_pos = int(truth.sum())
     n_neg = int((~truth).sum())
 
@@ -137,8 +126,8 @@ def roc_curve(scores: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, float]
 
     cum_tp = np.cumsum(sorted_truth)
     cum_fp = np.cumsum(~sorted_truth)
-    # keep only the last position of each run of equal scores
-    last_of_run = np.append(sorted_scores[1:] != sorted_scores[:-1], True)
+    # keep only the last position of each run of equal scores (none of no scores)
+    last_of_run = np.append(sorted_scores[1:] != sorted_scores[:-1], True)[:len(scores)]
     tp = np.concatenate([[0], cum_tp[last_of_run]])
     fp = np.concatenate([[0], cum_fp[last_of_run]])
 
@@ -201,14 +190,11 @@ def evaluate(scores: np.ndarray, pred_flags: np.ndarray, true_flags: np.ndarray,
     `erased`, one flag per sample, marks samples whose predicted label set
     decoded to no state; their prediction flags are zeroed for Prec/Rec/FPR.
     """
-    scores = np.asarray(scores, dtype=float)
-    pred = _as_flag_matrix(pred_flags, "predictions")
-    true = _as_flag_matrix(true_flags, "truths")
+    true = array("truths", true_flags, (None, None), bool)
+    scores = array("scores", scores, true.shape)
+    pred = array("predictions", pred_flags, true.shape, bool)
     n = true.shape[0]
-
-    erased = np.asarray(erased, dtype=bool)
-    if erased.shape != (n,):
-        raise InvalidInputError(f"erasure flags must have shape ({n},), got {erased.shape}")
+    erased = array("erasure flags", erased, (n,), bool)
     effective_pred = pred & ~erased[:, None]
 
     rates = prf(effective_pred, true)

@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidParameterError, real_number
+from .errors import InvalidInputError, InvalidParameterError, array, real_number
 
 N_LABELS = 4
 _FLAG_WEIGHTS = 1 << np.arange(N_LABELS)  # (1, 2, 4, 8)
@@ -41,7 +41,7 @@ def quadrant_flags(points: np.ndarray) -> np.ndarray:
     axis get the two labels of the adjacent quadrants, and the origin gets
     all four.
     """
-    points = np.asarray(points, dtype=float)
+    points = array("points", points, (None, 2))
     q_pos, p_pos = points[:, 0] >= 0, points[:, 1] >= 0
     q_neg, p_neg = points[:, 0] <= 0, points[:, 1] <= 0
     return np.column_stack([q_pos & p_pos, q_neg & p_pos, q_neg & p_neg, q_pos & p_neg])
@@ -90,14 +90,19 @@ class ModulationScheme:
         return len(self.points)
 
     def decode(self, flags: np.ndarray) -> np.ndarray:
-        """State index of each (n, 4) flag row, 0 where no state carries it.
+        """State index of each (n, 4) flag row, 0 where no state carries it;
+        a single (4,) row gives a single index.
 
         A single label decodes to the interior state of that quadrant and
         an adjacent pair to the shared axis state (8PSK). Every other set
         (empty, non-adjacent pair, three or more labels, any pair for
         QPSK) is an erasure.
         """
-        return self._decode_table[np.asarray(flags, dtype=bool) @ _FLAG_WEIGHTS]
+        try:
+            flags = array("flags", flags, (N_LABELS,), bool)
+        except InvalidInputError:  # not a single row; the last check's error names the (n, 4) shape
+            flags = array("flags", flags, (None, N_LABELS), bool)
+        return self._decode_table[flags @ _FLAG_WEIGHTS]
 
 
 def build_scheme(kind: ModulationKind | str, modulation_variance: float) -> ModulationScheme:
@@ -121,6 +126,8 @@ class EncodingRule:
     mapping: Mapping[int, str] = field(hash=False)
 
     def __post_init__(self):
+        if not isinstance(self.rule_id, str):
+            raise InvalidParameterError(f"rule_id must be a str, got {self.rule_id!r}")
         if not isinstance(self.mapping, Mapping):
             raise InvalidParameterError(f"rule {self.rule_id}: mapping must be a Mapping, got {self.mapping!r}")
         owner = {}
@@ -141,7 +148,7 @@ def encode(rule: EncodingRule, index: int) -> str:
     """
     try:
         return rule.mapping[index]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable index
         raise InvalidParameterError(f"rule {rule.rule_id} has no entry for state index {index}") from None
 
 

@@ -10,7 +10,7 @@ from mlcvqkd.channel import (
     transmit_batch,
     transmittance_from_distance,
 )
-from mlcvqkd.errors import InvalidParameterError
+from mlcvqkd.errors import InvalidInputError, InvalidParameterError
 from mlcvqkd.statespace import build_scheme
 from oracles import bayes_optimal_labels, labels_of
 
@@ -129,6 +129,15 @@ class TestDeterminism:
         np.testing.assert_array_equal(draw(b), draw(b2))
         assert not np.array_equal(draw(RandomSource(99).split(2)[0]), draw(RandomSource(99).split(2)[1]))
 
+    @pytest.mark.parametrize("n", [-1, 1.5, True, "2"])
+    def test_bad_split_count_rejected(self, n):
+        # -1 was once a raw OverflowError and 1.5 a TypeError
+        with pytest.raises(InvalidParameterError):
+            RandomSource(0).split(n)
+
+    def test_split_into_none(self):
+        assert RandomSource(0).split(0) == []
+
     def test_bad_seed_rejected(self):
         with pytest.raises(InvalidParameterError):
             RandomSource(-5)
@@ -172,7 +181,7 @@ class TestTransmitGeometry:
 
     def test_wrong_shape_rejected(self):
         params = ChannelParams(distance_km=10.0)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidInputError):
             transmit_batch(np.ones((4, 3)), params, RandomSource(0))
 
 

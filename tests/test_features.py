@@ -71,7 +71,7 @@ class TestExtract:
 
     def test_empty_reference_set_rejected(self):
         for refs in (np.empty((0, 2)), [], np.ones((2, 3)), np.ones(2)):
-            with pytest.raises(InvalidParameterError):
+            with pytest.raises(InvalidInputError):
                 extract_batch([[0.0, 0.0]], refs)
 
     def test_shifting_point_and_references_together_changes_nothing(self):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from mlcvqkd import cli, keyrate
 from mlcvqkd.channel import transmittance_from_distance
-from mlcvqkd.errors import InvalidParameterError, NumericalDomainError
+from mlcvqkd.errors import InvalidInputError, InvalidParameterError, NumericalDomainError
 from mlcvqkd.keyrate import (
     KeyRateParams,
     Protocol,
@@ -886,23 +886,24 @@ class TestKeyRateKernel:
         keys = key_rates(KeyRateParams(vm=1.0, transmittance=0.5), [], np.array([]))
         assert keys.shape == (0,) and keys.dtype == np.float64
 
-    @pytest.mark.parametrize("vms, transmittances, message", [
-        ([1.0, -1.0], [0.5, 0.5], "modulation variance must be finite and positive, got -1.0"),
-        ([1.0, math.nan], [0.5, 0.5], "modulation variance must be finite and positive, got nan"),
-        ([math.inf], [0.5], "modulation variance must be finite and positive, got inf"),
-        ([1.0], [1.5], r"transmittance must be in \(0, 1\], got 1.5"),
-        ([1.0], [0.0], r"transmittance must be in \(0, 1\], got 0.0"),
-        ([1.0], [0.5, 0.2], "vms and transmittances differ in length: 1 and 2"),
-        ([True], [0.5], "vms must be a 1-d array of real numbers"),
-        (["1"], [0.5], "vms must be a 1-d array of real numbers"),
-        (None, [0.5], "vms must be a 1-d array of real numbers"),
-        (1.0, [0.5], "vms must be a 1-d array of real numbers"),
-        ([[1.0]], [0.5], "vms must be a 1-d array of real numbers"),
-        ([[1.0], [1.0, 2.0]], [0.5], "vms must be a 1-d array of real numbers"),
-        ([1.0], [None], "transmittances must be a 1-d array of real numbers"),
+    @pytest.mark.parametrize("vms, transmittances, error, message", [
+        ([1.0, -1.0], [0.5, 0.5], InvalidParameterError, "modulation variance must be finite and positive, got -1.0"),
+        ([1.0, math.nan], [0.5, 0.5], InvalidParameterError,
+         "modulation variance must be finite and positive, got nan"),
+        ([math.inf], [0.5], InvalidParameterError, "modulation variance must be finite and positive, got inf"),
+        ([1.0], [1.5], InvalidParameterError, r"transmittance must be in \(0, 1\], got 1.5"),
+        ([1.0], [0.0], InvalidParameterError, r"transmittance must be in \(0, 1\], got 0.0"),
+        ([1.0], [0.5, 0.2], InvalidInputError, r"transmittances must have shape \(1,\).*, got float64 of shape \(2,\)"),
+        ([True], [0.5], InvalidInputError, r"vms must have shape \(any,\).*, got bool"),
+        (["1"], [0.5], InvalidInputError, r"vms must have shape \(any,\).*, got <U1"),
+        (None, [0.5], InvalidInputError, r"vms must have shape \(any,\).*, got object"),
+        (1.0, [0.5], InvalidInputError, r"vms must have shape \(any,\).*, got float64 of shape \(\)"),
+        ([[1.0]], [0.5], InvalidInputError, r"vms must have shape \(any,\).*, got float64 of shape \(1, 1\)"),
+        ([[1.0], [1.0, 2.0]], [0.5], InvalidInputError, r"vms must have shape \(any,\).*, got a ragged nesting"),
+        ([1.0], [None], InvalidInputError, r"transmittances must have shape \(1,\).*, got object"),
     ])
-    def test_bad_points_rejected(self, vms, transmittances, message):
-        with pytest.raises(InvalidParameterError, match=message):
+    def test_bad_points_rejected(self, vms, transmittances, error, message):
+        with pytest.raises(error, match=message):
             key_rates(KeyRateParams(vm=1.0, transmittance=0.5), vms, transmittances)
 
     @pytest.mark.parametrize("rate", [rate_asymptotic, rate_finite, lambda p: key_rates(p, [1.0], [0.5])])

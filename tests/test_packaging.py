@@ -44,3 +44,14 @@ def test_only_the_errors_module_imports_numbers():
     package = ROOT / "src" / "mlcvqkd"
     importers = sorted(path.name for path in package.rglob("*.py") if "numbers" in module_imports(path))
     assert importers == ["errors.py"]
+
+
+def test_only_the_errors_module_converts_arrays():
+    # errors.array holds the one array rule; every public array argument goes through it
+    package = ROOT / "src" / "mlcvqkd"
+    converters = sorted(
+        path.name for path in package.rglob("*.py")
+        if any(isinstance(node, ast.Attribute) and node.attr == "asarray"
+               for node in ast.walk(ast.parse(path.read_text(), str(path))))
+    )
+    assert converters == ["errors.py"]

@@ -201,6 +201,17 @@ class TestEncodingRules:
         with pytest.raises(InvalidParameterError):
             encode(NAMED_RULES["rule1"], 9)
 
+    @pytest.mark.parametrize("index", [[1], {}, np.ones(2)])
+    def test_unhashable_state_index_rejected(self, index):
+        # once a raw TypeError (unhashable type)
+        with pytest.raises(InvalidParameterError, match="has no entry for state index"):
+            encode(NAMED_RULES["rule1"], index)
+
+    @pytest.mark.parametrize("rule_id", [5, None, b"rule1"])
+    def test_rejects_a_rule_id_that_is_not_a_str(self, rule_id):
+        with pytest.raises(InvalidParameterError, match="rule_id must be a str"):
+            EncodingRule(rule_id=rule_id, mapping={1: "0"})
+
     def test_rejects_non_bit_strings(self):
         for bits in ("0x1", 101, b"01"):
             with pytest.raises(InvalidParameterError, match="non-bit-string"):
