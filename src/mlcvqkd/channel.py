@@ -131,8 +131,13 @@ def transmit_batch(points: np.ndarray, params: ChannelParams, rng: RandomSource)
     """Send an (n, 2) array of finite (q, p) rows through the channel.
 
     One reproducible noise stream covers the whole batch; output row i is
-    the transmitted row i. Returns an (n, 2) array.
+    the transmitted row i. Returns an (n, 2) array. A row so large that
+    its transmitted point overflows is an InvalidInputError.
     """
+    if not isinstance(params, ChannelParams):
+        raise InvalidParameterError(f"params must be a ChannelParams, got {params!r}")
+    if not isinstance(rng, RandomSource):
+        raise InvalidParameterError(f"rng must be a RandomSource, got {rng!r}")
     points = array("points", points, (None, 2))
     if not np.isfinite(points).all():
         raise InvalidInputError("points must be finite")
@@ -143,6 +148,10 @@ def transmit_batch(points: np.ndarray, params: ChannelParams, rng: RandomSource)
     cos_phi, sin_phi = np.cos(params.phase_drift), np.sin(params.phase_drift)
     sigma = math.sqrt(params.noise_variance)
 
-    q_out = root_t * (q * cos_phi + p * sin_phi) + rng.normal(sigma, n)
-    p_out = root_t * (p * cos_phi - q * sin_phi) + rng.normal(sigma, n)
-    return np.column_stack([q_out, p_out])
+    with np.errstate(over="ignore"):  # an overflow ends in inf, which the check below rejects
+        q_out = root_t * (q * cos_phi + p * sin_phi) + rng.normal(sigma, n)
+        p_out = root_t * (p * cos_phi - q * sin_phi) + rng.normal(sigma, n)
+    received = np.column_stack([q_out, p_out])
+    if not np.isfinite(received).all():
+        raise InvalidInputError("points are so large that a transmitted point overflows")
+    return received

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError, NumericalDomainError, array, integer, real_number
 
-_NEIGHBOR_BLOCK_BYTES = 8 * 2**20  # memory of one batch of the neighbour search
+_NEIGHBOR_BLOCK_BYTES = 2 * 2**20  # memory of one batch of the neighbour search
 
 
 @dataclass(frozen=True)
@@ -94,6 +94,9 @@ class TrainedClassifier:
             counts = [array(name, doc[name], (n_labels, params.k + 1)) for name in ("counts_pos", "counts_neg")]
             if not all(((c >= 0) & (c < math.inf)).all() for c in counts):
                 raise ValueError("counts must be finite and nonnegative")
+            with np.errstate(over="ignore"):  # a row sum past the float range is inf, and rejected
+                if not all(np.isfinite(c.sum(axis=1)).all() for c in counts):
+                    raise ValueError("each row of counts must sum to a finite number")
             clf = cls(params, features, label_flags, array("prior_pos", doc["prior_pos"], (n_labels,)), *counts)
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"classifier document has a missing or mistyped field: {exc}") from None
@@ -184,8 +187,10 @@ class _ProjectionGrid:
             most, stop = counts[start], start + 1
             while stop < len(counts):
                 grown = max(most, counts[stop])
-                # the Gram block, its copy of valid rows and the partition's copy, and the gathered rows
-                if 8 * (stop - start + 1) * (3 * grown * widths[stop] + (grown + widths[stop]) * self.w) \
+                # per window: the Gram block, its copy of valid rows and the partition's copy (8 bytes an
+                # entry each), the exclude-self mask (1 byte an entry), and the gathered query and training
+                # rows with their indices
+                if (stop - start + 1) * (25 * grown * widths[stop] + 8 * (grown + widths[stop]) * (self.w + 1)) \
                         > _NEIGHBOR_BLOCK_BYTES:
                     break
                 most, stop = grown, stop + 1
@@ -277,8 +282,10 @@ def _neighbor_indices(queries, training, k, exclude_self=False):
     included. Otherwise it is searched again in a window wide enough for
     that k-th distance. A window covering the whole grid is always
     accepted; it is the search over every row. Queries with the same
-    window are searched together, in batches of windows whose arrays stay
-    within _NEIGHBOR_BLOCK_BYTES.
+    window are searched together, in batches of windows whose arrays (the
+    Gram block and its copies, the exclude-self mask, the gathered rows)
+    stay within _NEIGHBOR_BLOCK_BYTES, 2 MB, unless the batch is a single
+    window: a window is never split.
 
     Within a window the search runs in two stages. The Gram expansion
     |q|^2 + |t|^2 - 2 q.t gives every squared distance with one matrix
@@ -328,6 +335,8 @@ def _neighbor_indices(queries, training, k, exclude_self=False):
 
 def train(features: np.ndarray, label_flags: np.ndarray, params: QmlcParams) -> TrainedClassifier:
     """Fit QMLC on (m, w) feature rows with (m, l) boolean label flags."""
+    if not isinstance(params, QmlcParams):
+        raise InvalidParameterError(f"params must be a QmlcParams, got {params!r}")
     features = array("features", features, (None, None))
     m = features.shape[0]
     label_flags = array("label_flags", label_flags, (m, None), bool)
@@ -354,6 +363,8 @@ def train(features: np.ndarray, label_flags: np.ndarray, params: QmlcParams) -> 
 def posterior_ratios(clf: TrainedClassifier, queries: np.ndarray) -> np.ndarray:
     """f(x, y_j) for each query row and label, shape (n, l); a ratio past
     the float range (from a tiny smoothing s) is a NumericalDomainError."""
+    if not isinstance(clf, TrainedClassifier):
+        raise InvalidParameterError(f"clf must be a TrainedClassifier, got {clf!r}")
     queries = array("queries", queries, (None, None))
     neighbors = _neighbor_indices(queries, clf.features, clf.params.k)
     c = clf.label_flags[neighbors].sum(axis=1)  # (n, l)

@@ -18,13 +18,27 @@ from .errors import InvalidInputError, InvalidParameterError, array, real_number
 
 def extract_batch(points: np.ndarray, refs: np.ndarray) -> np.ndarray:
     """Feature vectors of an (n, 2) array of points against a (w, 2) array
-    of finite references, w >= 1; returns (n, w)."""
+    of finite references, w >= 1; returns (n, w). A distance that is not
+    finite (a non-finite point, or one so far out that its squared
+    distance overflows) is an InvalidInputError.
+
+    Each distance is sqrt(dq * dq + dp * dp), built in place in two (n, w)
+    arrays, the first of which is returned."""
     refs = array("refs", refs, (None, 2))
     if not (len(refs) and np.isfinite(refs).all()):
         raise InvalidInputError("refs must hold at least one reference, and only finite ones")
     points = array("points", points, (None, 2))
-    diff = points[:, None, :] - refs[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
+    with np.errstate(over="ignore"):  # an overflow ends in inf, which the check below rejects
+        d = points[:, :1] - refs[:, 0]
+        e = points[:, 1:] - refs[:, 1]
+        d *= d
+        e *= e
+        d += e
+    np.sqrt(d, out=d)
+    if not np.isfinite(d).all():
+        raise InvalidInputError("points must be finite, and close enough to the references that no distance "
+                                "overflows")
+    return d
 
 
 def resolve_threshold(features: np.ndarray, threshold: float | None = None, quantile: float | None = None) -> float:

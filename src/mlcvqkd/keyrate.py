@@ -73,6 +73,11 @@ def _checked_transmittance(value) -> float:
     return t
 
 
+def _check_params(params) -> None:
+    if not isinstance(params, KeyRateParams):
+        raise InvalidParameterError(f"params must be a KeyRateParams, got {params!r}")
+
+
 def _line_terms(t: float, excess_noise: float, chi_het: float) -> tuple[float, float]:
     """chi_line and chi_tot at transmittance t."""
     chi_line = 1.0 / t - 1.0 + excess_noise
@@ -217,6 +222,11 @@ def entropy_g(x: float) -> float:
 
 def mutual_information(params: KeyRateParams) -> float:
     """Heterodyne Gaussian mutual information log2[(V+chi_tot)/(1+chi_tot)]."""
+    _check_params(params)
+    return _mutual_information(params)
+
+
+def _mutual_information(params: KeyRateParams) -> float:
     chi_tot = params.chi_tot
     return math.log2((params.v + chi_tot) / (1.0 + chi_tot))
 
@@ -372,6 +382,11 @@ def _eig_pair(s: float, p: float, which: str) -> tuple[float, float]:
 
 def holevo_chi_be(params: KeyRateParams) -> tuple[float, float, tuple[float, ...]]:
     """Holevo bound chi_BE, never below 0; returns (chi, z, lambdas)."""
+    _check_params(params)
+    return _holevo_chi_be(params)
+
+
+def _holevo_chi_be(params: KeyRateParams) -> tuple[float, float, tuple[float, ...]]:
     z = _cached_z(params.protocol, params.vm)
     try:
         lams = symplectic_eigenvalues(params, z)
@@ -387,26 +402,27 @@ def holevo_chi_be(params: KeyRateParams) -> tuple[float, float, tuple[float, ...
 
 def delta_n(params: KeyRateParams) -> float:
     """Finite-size privacy-amplification penalty Delta(n)."""
+    _check_params(params)
+    return _delta_n(params)
+
+
+def _delta_n(params: KeyRateParams) -> float:
     if params.n is None:
         raise InvalidParameterError("finite-size rate needs n and big_n")
     n = params.n
     return (2 * DIM_HB + 3) * math.sqrt(math.log2(2.0 / params.eps_bar) / n) + (2.0 / n) * math.log2(1.0 / params.eps_pa)
 
 
-def _check_params(params) -> None:
-    if not isinstance(params, KeyRateParams):
-        raise InvalidParameterError(f"params must be a KeyRateParams, got {params!r}")
-
-
 def _rate(params: KeyRateParams, finite: bool) -> RateResult:
-    """The one body of rate_asymptotic and rate_finite."""
+    """The one body of rate_asymptotic and rate_finite; its one check of
+    params covers the unchecked terms it calls."""
     _check_params(params)
-    d = delta_n(params) if finite else None
-    i_ab = mutual_information(params)
+    d = _delta_n(params) if finite else None
+    i_ab = _mutual_information(params)
     if params.protocol is Protocol.ML:
         eve, gain = params.ml_eve_term, params.beta * params.lam * i_ab
     else:
-        eve, gain = holevo_chi_be(params)[0], params.beta * i_ab
+        eve, gain = _holevo_chi_be(params)[0], params.beta * i_ab
     key = gain - eve if d is None else params.n / params.big_n * (gain - eve - d)
     if not math.isfinite(key):  # the constructor raises the NumericalDomainError
         return RateResult(params.protocol, key, i_ab, eve, delta_n=d)
@@ -531,7 +547,7 @@ def key_rates(params: KeyRateParams, vms, transmittances) -> np.ndarray:
         if not valid.all():  # the scalar check raises its error for the first invalid element
             check(float(values[np.argmin(valid)]))
     rate_of = rate_asymptotic if params.n is None else rate_finite
-    d = None if params.n is None else delta_n(params)
+    d = None if params.n is None else _delta_n(params)
     keys = np.empty(len(vms))
     for start in range(0, len(vms), _KERNEL_POINTS):
         chunk_vms, chunk_t = vms[start:start + _KERNEL_POINTS], t[start:start + _KERNEL_POINTS]

@@ -30,6 +30,14 @@ from .statespace import NAMED_RULES, ModulationKind, ModulationScheme, build_sch
 MAX_SAMPLES = int(np.iinfo(np.intp).max)
 
 
+def _check_types(**checks) -> None:
+    """Each keyword names an argument and holds (value, class); a value
+    that is not an instance of its class is an InvalidParameterError."""
+    for name, (value, cls) in checks.items():
+        if not isinstance(value, cls):
+            raise InvalidParameterError(f"{name} must be a {cls.__name__}, got {value!r}")
+
+
 def _generated_size(training_size: int, testing_size: int) -> int:
     """Samples state learning draws: the training and testing sets plus a
     5 percent margin and 200 more to survive filtering."""
@@ -63,9 +71,8 @@ class SessionConfig:
     filter_threshold: float | None = None
 
     def __post_init__(self):
-        for name, cls in (("channel", ChannelParams), ("qmlc", qmlc.QmlcParams), ("rule_id", str)):
-            if not isinstance(getattr(self, name), cls):
-                raise InvalidParameterError(f"{name} must be a {cls.__name__}, got {getattr(self, name)!r}")
+        _check_types(channel=(self.channel, ChannelParams), qmlc=(self.qmlc, qmlc.QmlcParams),
+                     rule_id=(self.rule_id, str))
         object.__setattr__(self, "vm", real_number("vm", self.vm))
         object.__setattr__(self, "auc_threshold", real_number("auc_threshold", self.auc_threshold))
         for name in ("filter_quantile", "filter_threshold"):
@@ -137,6 +144,7 @@ def state_learning(config: SessionConfig, rng: RandomSource) -> LearningOutcome:
     filter threshold on the whole population, then splits the kept samples
     into the training and testing sets in generation order.
     """
+    _check_types(config=(config, SessionConfig), rng=(rng, RandomSource))
     scheme = config.scheme
     wanted = config.training_size + config.testing_size
     generated = _generated_size(config.training_size, config.testing_size)
@@ -221,6 +229,7 @@ def state_prediction(clf: qmlc.TrainedClassifier, config: SessionConfig,
     not simulated bit-level; their cost enters the key rate through beta
     and Delta(n).
     """
+    _check_types(clf=(clf, qmlc.TrainedClassifier), config=(config, SessionConfig), rng=(rng, RandomSource))
     scheme, rule = config.scheme, config.rule
     indices, _, _, received = _generate_population(scheme, config.prediction_block, config.channel, rng)
     features = extract_batch(received, scheme.points)
@@ -287,6 +296,8 @@ def intercept_resend_demo() -> list[AttackScenario]:
 
 def format_attack_table(scenarios: list[AttackScenario]) -> str:
     """Text table of the demo: one row per scenario, three strings per party."""
+    if not (isinstance(scenarios, (list, tuple)) and all(isinstance(sc, AttackScenario) for sc in scenarios)):
+        raise InvalidParameterError(f"scenarios must be a list of AttackScenario, got {scenarios!r}")
     header_states = "  ".join(f"a{k}" for k in DEMO_SENT_STATES)
     lines = [
         f"{'scenario':<48}  {'Alice':<17}  {'Eve':<17}  {'Bob':<17}",

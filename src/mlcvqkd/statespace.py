@@ -146,6 +146,8 @@ def encode(rule: EncodingRule, index: int) -> str:
     the same lookup; a mismatch between their rules is what produces
     divergent keys.
     """
+    if not isinstance(rule, EncodingRule):
+        raise InvalidParameterError(f"rule must be an EncodingRule, got {rule!r}")
     try:
         return rule.mapping[index]
     except (KeyError, TypeError):  # TypeError: an unhashable index

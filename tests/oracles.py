@@ -23,7 +23,9 @@ csv.writer table writer is the package's earlier CSV writer, kept as the
 reference for the one that formats each row with a single format string.
 The per-symbol transcript loop is the package's earlier key builder,
 kept as the reference for the keys built from one lookup per state and
-the agreement counted on states.
+the agreement counted on states. The (n, w, 2) difference-array feature
+extraction is the package's earlier extract_batch, kept as the reference
+for the one that builds the (n, w) result in place.
 """
 
 from __future__ import annotations
@@ -299,6 +301,15 @@ def stable_argsort_neighbors(queries, training, k, exclude_self=False):
         order = np.argsort(dist, axis=1, kind="stable")
         out[start:stop] = order[:, :k]
     return out
+
+
+def difference_array_features(points, refs):
+    """Distance features (n, w) of points (n, 2) against refs (w, 2),
+    through the (n, w, 2) difference array: the package's earlier
+    extract_batch body, kept verbatim as the reference for the in-place
+    one that replaced it."""
+    diff = points[:, None, :] - refs[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=2))
 
 
 def labels_of(point) -> frozenset[int]:

@@ -1,3 +1,5 @@
+import functools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -45,6 +47,16 @@ def three_cluster_fixture():
             points.append((cx + shift, cy))
             labelsets.append(labels)
     return np.array(points), labelsets
+
+
+@functools.cache
+def default_session_search():
+    """(queries, training, k) of the query search of a default session:
+    10 000 testing rows against 5000 training rows, k 9."""
+    config = SessionConfig()
+    outcome = state_learning(config, RandomSource(20240901))
+    testing = extract_batch(outcome.test_received, config.scheme.points)
+    return testing, outcome.classifier.features, config.qmlc.k
 
 
 def nearest(x, training, k):
@@ -148,11 +160,18 @@ class TestNeighborSearchIsExact:
             self._assert_matches_oracle(queries, training, k)
 
     def test_matches_stable_argsort_on_a_default_session(self):
-        config = SessionConfig()
-        outcome = state_learning(config, RandomSource(20240901))
-        training = outcome.classifier.features
-        testing = extract_batch(outcome.test_received, config.scheme.points)
-        self._assert_matches_oracle(testing, training, config.qmlc.k)
+        self._assert_matches_oracle(*default_session_search())
+
+    def test_default_query_search_peaks_under_6_mb(self):
+        # the 2 MB batch budget; with 8 MB batches this search peaked at 8.9 MB
+        queries, training, k = default_session_search()
+        tracemalloc.start()
+        try:
+            _neighbor_indices(queries, training, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
 
 class TestNeighborSearchOnAGrid:

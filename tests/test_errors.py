@@ -1,6 +1,9 @@
 """errors.array is the one rule for array arguments: every public function
-taking an array returns or raises an MlcvqkdError, whatever it is given."""
+taking an array returns or raises an MlcvqkdError, whatever it is given.
+Every public function also returns or raises one when given None in
+place of any argument."""
 
+import inspect
 import math
 import warnings
 
@@ -9,13 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mlcvqkd
+from mlcvqkd import protocol
 from mlcvqkd.channel import ChannelParams, RandomSource, transmit_batch
 from mlcvqkd.classifier import QmlcParams, TrainedClassifier, posterior_ratios, predict_batch, train
 from mlcvqkd.errors import InvalidInputError, MlcvqkdError, array
 from mlcvqkd.features import extract_batch, filter_features, resolve_threshold
-from mlcvqkd.keyrate import KeyRateParams, key_rates
+from mlcvqkd.keyrate import KeyRateParams, Protocol, key_rates
 from mlcvqkd.metrics import average_precision, evaluate, prf, roc_curve
-from mlcvqkd.statespace import build_scheme, quadrant_flags
+from mlcvqkd.statespace import NAMED_RULES, build_scheme, quadrant_flags
 
 SCHEME = build_scheme("8psk", 2.0)
 POINTS = np.vstack([SCHEME.points, 0.5 * SCHEME.points + 0.1])  # (16, 2)
@@ -31,8 +36,10 @@ CASES = {
     "extract_batch": (extract_batch, {"points": POINTS, "refs": SCHEME.points}),
     "resolve_threshold": (lambda features: resolve_threshold(features, quantile=0.5), {"features": FEATURES}),
     "filter_features": (lambda features: filter_features(features, 1.0), {"features": FEATURES}),
-    "transmit_batch": (lambda points: transmit_batch(points, ChannelParams(10.0), RandomSource(0)),
-                       {"points": POINTS}),
+    "transmit_batch": (
+        lambda points: transmit_batch(points, ChannelParams(10.0, phase_drift=0.7), RandomSource(0)),
+        {"points": POINTS},
+    ),
     "quadrant_flags": (quadrant_flags, {"points": POINTS}),
     "ModulationScheme.decode": (SCHEME.decode, {"flags": FLAGS}),
     "train": (lambda features, label_flags: train(features, label_flags, QmlcParams(k=3)),
@@ -60,6 +67,7 @@ POOL = [
     [], np.empty(0), np.empty((0, 2)), np.empty((0, 4)), np.empty((0, 0)), np.ones((3, 5)),
     2**70, [2**70, 1], [[2**70, 1.0]],
     np.full((3, 2), math.inf), np.full((3, 4), -math.inf), np.full((3, 2), math.nan),
+    np.full((3, 2), 1.7e308), np.full((3, 4), -1e200),
 ]
 
 
@@ -75,6 +83,8 @@ DAMAGE = [
     lambda v: _with_first(v, math.inf),
     lambda v: _with_first(v, -math.inf),
     lambda v: _with_first(v, 2**70),
+    lambda v: _with_first(v, 1e200),  # finite, but its square overflows
+    lambda v: np.full(v.shape, 1.7e308),  # finite, but sums of its entries overflow
     lambda v: v[..., :-1],  # one column (or element) short
     lambda v: np.concatenate([v, v[..., :1]], axis=-1),  # one too many
     lambda v: v[..., None],  # an extra axis
@@ -102,7 +112,8 @@ def test_hostile_arrays_return_or_raise_a_package_error(call, valid, data):
             pass
 
 
-# each of these once escaped as a raw ValueError, AxisError or IndexError
+# each of these once escaped as a raw ValueError, AxisError or IndexError, or
+# overflowed with a RuntimeWarning
 FORMER_ESCAPES = {
     "extract_batch str points": lambda: extract_batch("ab", SCHEME.points),
     "extract_batch str refs": lambda: extract_batch(POINTS, "x"),
@@ -116,6 +127,11 @@ FORMER_ESCAPES = {
     "roc_curve lengths": lambda: roc_curve(np.ones(3), np.ones(2)),
     "roc_curve 2-d": lambda: roc_curve(np.ones((2, 2)), np.ones((2, 2))),
     "average_precision str": lambda: average_precision("ab", FLAGS),
+    "extract_batch huge point": lambda: extract_batch([[1e200, 0.0]], SCHEME.points),
+    "transmit_batch huge point": lambda: transmit_batch([[1.7e308, 1.7e308]], ChannelParams(10.0, phase_drift=0.7),
+                                                        RandomSource(0)),
+    "from_json_dict huge counts": lambda: TrainedClassifier.from_json_dict(
+        {**DOC, "counts_pos": np.full_like(DOC["counts_pos"], 1e308).tolist()}),
 }
 
 
@@ -151,3 +167,61 @@ class TestArray:
         assert array("x", np.ones((0, 3)), (None, 3)).shape == (0, 3)
         with pytest.raises(InvalidInputError, match=r"x must have shape \(any, 2\)"):
             array("x", np.ones((4, 3)), (None, 2))
+
+
+FINITE = KeyRateParams(vm=1.0, transmittance=0.5, n=10**6, big_n=10**7)
+SMALL_SESSION = mlcvqkd.SessionConfig(training_size=300, testing_size=300, prediction_block=300)
+
+# a valid value of every parameter of every public function, by parameter name
+VALID_CALLS = {
+    mlcvqkd.average_precision: {"scores": SCORES, "true_flags": FLAGS},
+    mlcvqkd.build_scheme: {"kind": "8psk", "modulation_variance": 2.0},
+    mlcvqkd.covariance_z: {"protocol": Protocol.EIGHT_STATE, "vm": 1.0},
+    mlcvqkd.delta_n: {"params": FINITE},
+    mlcvqkd.encode: {"rule": NAMED_RULES["rule2"], "index": 3},
+    mlcvqkd.evaluate: CASES["evaluate"][1],
+    mlcvqkd.extract_batch: {"points": POINTS, "refs": SCHEME.points},
+    mlcvqkd.filter_features: {"features": FEATURES, "threshold": 1.0},
+    mlcvqkd.holevo_chi_be: {"params": FINITE},
+    mlcvqkd.intercept_resend_demo: {},
+    mlcvqkd.key_rates: {"params": FINITE, **CASES["key_rates"][1]},
+    mlcvqkd.mutual_information: {"params": FINITE},
+    mlcvqkd.optimize_vm: {"distances_km": [20.0], "params": FINITE, "v_lo": 0.1, "v_hi": 2.0},
+    mlcvqkd.predict_batch: {"clf": CLF, "queries": FEATURES},
+    mlcvqkd.prf: CASES["prf"][1],
+    mlcvqkd.quadrant_flags: {"points": POINTS},
+    mlcvqkd.rate_asymptotic: {"params": FINITE},
+    mlcvqkd.rate_finite: {"params": FINITE},
+    mlcvqkd.roc_curve: CASES["roc_curve"][1],
+    mlcvqkd.state_learning: {"config": SMALL_SESSION, "rng": RandomSource(0)},
+    mlcvqkd.state_prediction: {"clf": CLF, "config": SMALL_SESSION, "rng": RandomSource(0)},
+    mlcvqkd.train: {**CASES["train"][1], "params": QmlcParams(k=3)},
+    mlcvqkd.transmit_batch: {"points": POINTS, "params": ChannelParams(10.0), "rng": RandomSource(0)},
+    mlcvqkd.transmittance_from_distance: {"distance_km": 20.0, "loss_db_per_km": 0.2},
+    posterior_ratios: {"clf": CLF, "queries": FEATURES},
+    protocol.format_attack_table: {"scenarios": mlcvqkd.intercept_resend_demo()},
+}
+
+NONE_CALLS = [(fn, name) for fn, valid in VALID_CALLS.items() for name in valid]
+
+
+def test_every_public_function_has_valid_values_for_each_parameter():
+    public = {getattr(mlcvqkd, name) for name in mlcvqkd.__all__ if inspect.isfunction(getattr(mlcvqkd, name))}
+    assert public - set(VALID_CALLS) == set()
+    for fn, valid in VALID_CALLS.items():
+        assert list(valid) == list(inspect.signature(fn).parameters), fn.__name__
+
+
+@pytest.mark.parametrize("fn, valid", VALID_CALLS.items(), ids=[fn.__name__ for fn in VALID_CALLS])
+def test_valid_values_are_accepted(fn, valid):
+    fn(**valid)
+
+
+@pytest.mark.parametrize("fn, name", NONE_CALLS, ids=[f"{fn.__name__}-{name}" for fn, name in NONE_CALLS])
+def test_none_in_any_parameter_returns_or_raises_a_package_error(fn, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            fn(**{**VALID_CALLS[fn], name: None})
+        except MlcvqkdError:
+            pass

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mlcvqkd.errors import InvalidInputError, InvalidParameterError
 from mlcvqkd.features import extract_batch, filter_features, resolve_threshold
 from mlcvqkd.statespace import ModulationKind, build_scheme
+from oracles import difference_array_features
 
 
 def square_refs():
@@ -80,6 +82,29 @@ class TestExtract:
         base = extract_batch([point], square_refs())[0]
         moved = extract_batch([point + shift], square_refs() + shift)[0]
         np.testing.assert_allclose(moved, base, rtol=1e-12)
+
+    @given(
+        points=st.integers(0, 30).flatmap(lambda n: arrays(np.float64, (n, 2), elements=st.floats(-4.0, 4.0))),
+        refs=st.integers(1, 9).flatmap(lambda w: arrays(np.float64, (w, 2), elements=st.floats(-4.0, 4.0))),
+        exponent=st.integers(-300, 150),
+    )
+    @example(points=np.empty((0, 2)), refs=np.ones((1, 2)), exponent=0)
+    @example(points=np.array([[3.0, -1.0], [0.5, 4.0]]), refs=np.array([[-2.0, 1.5]]), exponent=-300)
+    @example(points=np.array([[4.0, -4.0]]), refs=np.array([[-4.0, 4.0], [0.0, 0.0]]), exponent=150)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_difference_array_form_bit_for_bit(self, points, refs, exponent):
+        points, refs = points * 10.0**exponent, refs * 10.0**exponent
+        points_before, refs_before = points.copy(), refs.copy()
+        got, want = extract_batch(points, refs), difference_array_features(points, refs)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(points, points_before, strict=True)
+        np.testing.assert_array_equal(refs, refs_before, strict=True)
+
+    @pytest.mark.parametrize("point", [[1e200, 0.0], [0.0, -1.7e308], [1e155, 1e155], [math.inf, 0.0],
+                                       [0.0, math.nan]])
+    def test_a_distance_past_the_float_range_is_an_input_error(self, point):
+        with pytest.raises(InvalidInputError, match="points must be finite"):
+            extract_batch([[0.0, 0.0], point], square_refs())
 
     @pytest.mark.parametrize("angle", [0.3, math.pi / 2, 2.0, -1.1])
     def test_nearest_reference_survives_global_rotation(self, angle):
