@@ -15,11 +15,12 @@ RandomSource so every simulation is reproducible from its seed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParameterError, array, integer, real_number
+from .errors import InvalidInputError, InvalidParameterError, array, instance, integer, real_number
 
 DEFAULT_LOSS_DB_PER_KM = 0.2
 DEFAULT_SHOT_NOISE = 1.0
@@ -49,12 +50,12 @@ def transmittance_from_distance(distance_km: float, loss_db_per_km: float = DEFA
 class RandomSource:
     """Seeded random generator with documented deterministic splitting.
 
-    Wraps numpy's SeedSequence/PCG64. Identical seeds produce identical
-    sample streams. `split(n)` spawns n independent child sources via
-    SeedSequence.spawn, so a master seed can be divided across pipeline
-    stages without any stage's draws perturbing another's; the spawn tree
-    is part of numpy's stability guarantee, making the scheme stable
-    across runs and processes.
+    Wraps numpy's SeedSequence/PCG64; draws come from the numpy Generator
+    `generator`. Identical seeds produce identical sample streams. `split(n)`
+    spawns n independent child sources via SeedSequence.spawn, so a master
+    seed can be divided across pipeline stages without any stage's draws
+    perturbing another's; the spawn tree is part of numpy's stability
+    guarantee, making the scheme stable across runs and processes.
     """
 
     def __init__(self, seed, _sequence: np.random.SeedSequence | None = None):
@@ -70,16 +71,10 @@ class RandomSource:
     def split(self, n: int) -> list["RandomSource"]:
         """n independent child sources, deterministic in the parent seed."""
         n = integer("n", n)
-        if n < 0:
-            raise InvalidParameterError(f"n must be a nonnegative integer, got {n}")
+        if not 0 <= n <= sys.maxsize:  # numpy takes a count up to the C ssize_t maximum
+            raise InvalidParameterError(f"n must be a nonnegative integer of at most {sys.maxsize}, got {n}")
         children = self.sequence.spawn(n)
         return [RandomSource(seed=None, _sequence=c) for c in children]
-
-    def normal(self, scale: float, size) -> np.ndarray:
-        return self.generator.normal(0.0, scale, size)
-
-    def integers(self, low: int, high: int, size) -> np.ndarray:
-        return self.generator.integers(low, high, size)
 
 
 @dataclass(frozen=True)
@@ -134,10 +129,8 @@ def transmit_batch(points: np.ndarray, params: ChannelParams, rng: RandomSource)
     the transmitted row i. Returns an (n, 2) array. A row so large that
     its transmitted point overflows is an InvalidInputError.
     """
-    if not isinstance(params, ChannelParams):
-        raise InvalidParameterError(f"params must be a ChannelParams, got {params!r}")
-    if not isinstance(rng, RandomSource):
-        raise InvalidParameterError(f"rng must be a RandomSource, got {rng!r}")
+    instance("params", params, ChannelParams)
+    instance("rng", rng, RandomSource)
     points = array("points", points, (None, 2))
     if not np.isfinite(points).all():
         raise InvalidInputError("points must be finite")
@@ -149,8 +142,8 @@ def transmit_batch(points: np.ndarray, params: ChannelParams, rng: RandomSource)
     sigma = math.sqrt(params.noise_variance)
 
     with np.errstate(over="ignore"):  # an overflow ends in inf, which the check below rejects
-        q_out = root_t * (q * cos_phi + p * sin_phi) + rng.normal(sigma, n)
-        p_out = root_t * (p * cos_phi - q * sin_phi) + rng.normal(sigma, n)
+        q_out = root_t * (q * cos_phi + p * sin_phi) + rng.generator.normal(0.0, sigma, n)
+        p_out = root_t * (p * cos_phi - q * sin_phi) + rng.generator.normal(0.0, sigma, n)
     received = np.column_stack([q_out, p_out])
     if not np.isfinite(received).all():
         raise InvalidInputError("points are so large that a transmitted point overflows")

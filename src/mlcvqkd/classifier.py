@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParameterError, NumericalDomainError, array, integer, real_number
+from .errors import (InvalidInputError, InvalidParameterError, NumericalDomainError, array, instance, integer,
+                     real_number)
 
 _NEIGHBOR_BLOCK_BYTES = 2 * 2**20  # memory of one batch of the neighbour search
 
@@ -50,21 +51,33 @@ class TrainedClassifier:
     """Immutable result of QMLC training.
 
     Holds the training features and label flags (the kNN index), the
-    priors, the raw per-count tables and the smoothed conditionals.
+    priors, the raw per-count tables and the smoothed conditionals. The
+    checks here serve train, from_json_dict and direct construction alike:
+    the counts must be finite, nonnegative and of finite row sums.
     """
 
     def __init__(self, params, features, label_flags, prior_pos, counts_pos, counts_neg):
+        instance("params", params, QmlcParams)
         k, s = params.k, params.s
+        features = array("features", features, (None, None))
+        label_flags = array("label_flags", label_flags, (len(features), None), bool)
+        n_labels = label_flags.shape[1]
+        counts = [array(name, c, (n_labels, k + 1))
+                  for name, c in (("counts_pos", counts_pos), ("counts_neg", counts_neg))]
+        if not all(((c >= 0) & (c < math.inf)).all() for c in counts):
+            raise InvalidInputError("counts must be finite and nonnegative")
+        with np.errstate(over="ignore"):  # a row sum past the float range is inf, and rejected
+            sums = [c.sum(axis=1, keepdims=True) for c in counts]
+        if not all(np.isfinite(total).all() for total in sums):
+            raise InvalidInputError("each row of counts must sum to a finite number")
         self.params = params
         self.features = features
         self.label_flags = label_flags
-        self.prior_pos = prior_pos                  # P(H_j), shape (l,)
+        self.prior_pos = prior_pos = array("prior_pos", prior_pos, (n_labels,))  # P(H_j), shape (l,)
         self.prior_neg = 1.0 - prior_pos            # P(not H_j)
-        self.counts_pos = counts_pos                # sigma_j[r], shape (l, k+1)
-        self.counts_neg = counts_neg                # sigma-bar_j[r]
+        self.counts_pos, self.counts_neg = counts   # sigma_j[r] and sigma-bar_j[r], shape (l, k+1)
         # smoothed conditionals P(C_j = r | H_j) and P(C_j = r | not H_j)
-        self.cond_pos = (s + counts_pos) / (s * (k + 1) + counts_pos.sum(axis=1, keepdims=True))
-        self.cond_neg = (s + counts_neg) / (s * (k + 1) + counts_neg.sum(axis=1, keepdims=True))
+        self.cond_pos, self.cond_neg = ((s + c) / (s * (k + 1) + total) for c, total in zip(counts, sums))
 
     @property
     def n_training(self) -> int:
@@ -88,19 +101,10 @@ class TrainedClassifier:
             raise InvalidInputError("not a version-1 classifier document")
         try:
             params = QmlcParams(**doc["params"])
-            features = array("features", doc["features"], (None, None))
-            label_flags = array("label_flags", doc["label_flags"], (len(features), None), bool)
-            n_labels = label_flags.shape[1]
-            counts = [array(name, doc[name], (n_labels, params.k + 1)) for name in ("counts_pos", "counts_neg")]
-            if not all(((c >= 0) & (c < math.inf)).all() for c in counts):
-                raise ValueError("counts must be finite and nonnegative")
-            with np.errstate(over="ignore"):  # a row sum past the float range is inf, and rejected
-                if not all(np.isfinite(c.sum(axis=1)).all() for c in counts):
-                    raise ValueError("each row of counts must sum to a finite number")
-            clf = cls(params, features, label_flags, array("prior_pos", doc["prior_pos"], (n_labels,)), *counts)
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(params, *(doc[name] for name in ("features", "label_flags", "prior_pos", "counts_pos",
+                                                        "counts_neg")))
+        except (KeyError, TypeError, ValueError) as exc:  # the constructor's errors are ValueErrors
             raise InvalidInputError(f"classifier document has a missing or mistyped field: {exc}") from None
-        return clf
 
 
 def _concat_ranges(starts, lengths):
@@ -335,8 +339,7 @@ def _neighbor_indices(queries, training, k, exclude_self=False):
 
 def train(features: np.ndarray, label_flags: np.ndarray, params: QmlcParams) -> TrainedClassifier:
     """Fit QMLC on (m, w) feature rows with (m, l) boolean label flags."""
-    if not isinstance(params, QmlcParams):
-        raise InvalidParameterError(f"params must be a QmlcParams, got {params!r}")
+    instance("params", params, QmlcParams)
     features = array("features", features, (None, None))
     m = features.shape[0]
     label_flags = array("label_flags", label_flags, (m, None), bool)
@@ -363,8 +366,7 @@ def train(features: np.ndarray, label_flags: np.ndarray, params: QmlcParams) -> 
 def posterior_ratios(clf: TrainedClassifier, queries: np.ndarray) -> np.ndarray:
     """f(x, y_j) for each query row and label, shape (n, l); a ratio past
     the float range (from a tiny smoothing s) is a NumericalDomainError."""
-    if not isinstance(clf, TrainedClassifier):
-        raise InvalidParameterError(f"clf must be a TrainedClassifier, got {clf!r}")
+    instance("clf", clf, TrainedClassifier)
     queries = array("queries", queries, (None, None))
     neighbors = _neighbor_indices(queries, clf.features, clf.params.k)
     c = clf.label_flags[neighbors].sum(axis=1)  # (n, l)

@@ -6,6 +6,7 @@ learning phase.
 """
 
 import numbers
+from enum import Enum
 
 import numpy as np
 
@@ -41,6 +42,23 @@ def real_number(name: str, value) -> float:
         return float(value)
     except OverflowError:
         raise InvalidParameterError(f"{name} must be finite, got {value!r}") from None
+
+
+def instance(name: str, value, cls: type) -> None:
+    """Check that an object argument is an instance of cls; any other value
+    is an InvalidParameterError naming cls."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOUaeiou" else "a"
+        raise InvalidParameterError(f"{name} must be {article} {cls.__name__}, got {value!r}")
+
+
+def member(name: str, value, enum: type[Enum]) -> Enum:
+    """An enum argument's value as a member of enum, given as a member or
+    its value; any other value is an InvalidParameterError."""
+    try:
+        return enum(value)
+    except ValueError:
+        raise InvalidParameterError(f"unknown {name} {value!r}") from None
 
 
 class InvalidInputError(MlcvqkdError, ValueError):

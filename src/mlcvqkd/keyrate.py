@@ -42,7 +42,7 @@ from enum import Enum
 import numpy as np
 
 from .channel import transmittance_from_distance
-from .errors import InvalidParameterError, NumericalDomainError, array, integer, real_number
+from .errors import InvalidParameterError, NumericalDomainError, array, instance, integer, member, real_number
 
 DIM_HB = 2
 _LAMBDA_TOLERANCE = 1e-9
@@ -71,11 +71,6 @@ def _checked_transmittance(value) -> float:
     if not 0 < t <= 1:
         raise InvalidParameterError(f"transmittance must be in (0, 1], got {t}")
     return t
-
-
-def _check_params(params) -> None:
-    if not isinstance(params, KeyRateParams):
-        raise InvalidParameterError(f"params must be a KeyRateParams, got {params!r}")
 
 
 def _line_terms(t: float, excess_noise: float, chi_het: float) -> tuple[float, float]:
@@ -139,10 +134,7 @@ class KeyRateParams:
     ml_eve_term: float = 0.0
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "protocol", Protocol(self.protocol))
-        except ValueError:
-            raise InvalidParameterError(f"unknown protocol {self.protocol!r}") from None
+        object.__setattr__(self, "protocol", member("protocol", self.protocol, Protocol))
         object.__setattr__(self, "vm", _checked_vm(self.vm))
         object.__setattr__(self, "transmittance", _checked_transmittance(self.transmittance))
         for name in ("excess_noise", "eta", "v_el", "beta", "lam", "eps_bar", "eps_pa", "ml_eve_term"):
@@ -194,7 +186,11 @@ class KeyRateParams:
 
 @dataclass(frozen=True)
 class RateResult:
-    """A key rate with its intermediate quantities."""
+    """A key rate with its intermediate quantities.
+
+    The float fields (delta_n when not None) must be real numbers and are
+    stored as Python floats, and the key rate must be finite.
+    """
 
     protocol: Protocol
     key_rate: float
@@ -203,6 +199,11 @@ class RateResult:
     delta_n: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "protocol", member("protocol", self.protocol, Protocol))
+        for name in ("key_rate", "mutual_information", "holevo_term"):
+            object.__setattr__(self, name, real_number(name, getattr(self, name)))
+        if self.delta_n is not None:
+            object.__setattr__(self, "delta_n", real_number("delta_n", self.delta_n))
         # finite inputs near the float limits (eta near 0, V_m near 1e308) can still end in inf or NaN
         if not math.isfinite(self.key_rate):
             raise NumericalDomainError("key rate is not finite", key_rate=self.key_rate,
@@ -222,7 +223,7 @@ def entropy_g(x: float) -> float:
 
 def mutual_information(params: KeyRateParams) -> float:
     """Heterodyne Gaussian mutual information log2[(V+chi_tot)/(1+chi_tot)]."""
-    _check_params(params)
+    instance("params", params, KeyRateParams)
     return _mutual_information(params)
 
 
@@ -286,15 +287,10 @@ def _weights_eight(a2: float) -> list[float]:
     ]
 
 
-def _covariance_z(protocol: Protocol, vm: float) -> float:
-    """covariance_z without the cache."""
-    try:
-        protocol = Protocol(protocol)
-    except ValueError:
-        raise InvalidParameterError(f"unknown protocol {protocol!r}") from None
-    vm = real_number("vm", vm)
-    if not 0 <= vm < math.inf:
-        raise InvalidParameterError(f"modulation variance must be finite and nonnegative, got {vm}")
+@functools.lru_cache(maxsize=128)
+def _cached_z(protocol: Protocol, vm: float) -> float:
+    """covariance_z of a checked protocol and V_m, from a cache of the last
+    128 values; the rate path, whose points are checked, calls it directly."""
     if vm == 0.0:
         return 0.0
     if protocol is Protocol.GAUSSIAN or protocol is Protocol.ML:
@@ -314,26 +310,18 @@ def _covariance_z(protocol: Protocol, vm: float) -> float:
     return 2.0 * a2 * total
 
 
-# the rate path passes a checked protocol and V_m, so it calls the cache directly
-_cached_z = functools.lru_cache(maxsize=128, typed=True)(_covariance_z)
-
-
 def covariance_z(protocol: Protocol, vm: float) -> float:
     """Alice-Bob correlation Z for the given protocol at variance vm.
 
-    The last 128 values are cached by typed key, so True is rejected, not
-    served as 1.0. The arguments are coerced first, so equal keys of other
-    types ("gaussian", a numpy float) return a float. An unhashable
-    argument is checked without the cache, and rejected.
+    Both arguments are checked and coerced before the cache of the last 128
+    values is looked up, so equal keys of other types ("gaussian", a numpy
+    float) return one float, and True is rejected, not served as 1.0.
     """
-    try:
-        return _cached_z(protocol, vm)
-    except TypeError:  # lru_cache hashes the arguments before the body checks them
-        return _covariance_z(protocol, vm)
-
-
-covariance_z.cache_clear = _cached_z.cache_clear
-covariance_z.__wrapped__ = _covariance_z
+    protocol = member("protocol", protocol, Protocol)
+    vm = real_number("vm", vm)
+    if not 0 <= vm < math.inf:
+        raise InvalidParameterError(f"modulation variance must be finite and nonnegative, got {vm}")
+    return _cached_z(protocol, vm)
 
 
 def symplectic_eigenvalues(params: KeyRateParams, z: float) -> tuple[float, float, float, float, float]:
@@ -382,7 +370,7 @@ def _eig_pair(s: float, p: float, which: str) -> tuple[float, float]:
 
 def holevo_chi_be(params: KeyRateParams) -> tuple[float, float, tuple[float, ...]]:
     """Holevo bound chi_BE, never below 0; returns (chi, z, lambdas)."""
-    _check_params(params)
+    instance("params", params, KeyRateParams)
     return _holevo_chi_be(params)
 
 
@@ -402,7 +390,7 @@ def _holevo_chi_be(params: KeyRateParams) -> tuple[float, float, tuple[float, ..
 
 def delta_n(params: KeyRateParams) -> float:
     """Finite-size privacy-amplification penalty Delta(n)."""
-    _check_params(params)
+    instance("params", params, KeyRateParams)
     return _delta_n(params)
 
 
@@ -416,7 +404,7 @@ def _delta_n(params: KeyRateParams) -> float:
 def _rate(params: KeyRateParams, finite: bool) -> RateResult:
     """The one body of rate_asymptotic and rate_finite; its one check of
     params covers the unchecked terms it calls."""
-    _check_params(params)
+    instance("params", params, KeyRateParams)
     d = _delta_n(params) if finite else None
     i_ab = _mutual_information(params)
     if params.protocol is Protocol.ML:
@@ -539,7 +527,7 @@ def key_rates(params: KeyRateParams, vms, transmittances) -> np.ndarray:
     fails a check or its key is not finite, the scalar rate at that point
     raises its typed error.
     """
-    _check_params(params)
+    instance("params", params, KeyRateParams)
     vms = array("vms", vms, (None,))
     t = array("transmittances", transmittances, vms.shape)
     for check, values, valid in ((_checked_vm, vms, (vms > 0) & (vms < math.inf)),
@@ -589,7 +577,7 @@ def optimize_vm(distances_km, params: KeyRateParams, v_lo: float = 0.05,
     resolution. The reported rate is one rate_asymptotic or rate_finite
     call a distance, at the optimum.
     """
-    _check_params(params)
+    instance("params", params, KeyRateParams)
     try:
         if isinstance(distances_km, (str, bytes)):  # iterable, but over its characters
             raise TypeError

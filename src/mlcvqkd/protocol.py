@@ -21,21 +21,13 @@ import numpy as np
 
 from . import classifier as qmlc
 from .channel import ChannelParams, RandomSource, transmit_batch
-from .errors import InvalidParameterError, LearningRejectedError, integer, real_number
+from .errors import InvalidParameterError, LearningRejectedError, instance, integer, real_number
 from .features import extract_batch, filter_features, resolve_threshold
 from .metrics import EvaluationReport, evaluate
 from .statespace import NAMED_RULES, ModulationKind, ModulationScheme, build_scheme, encode
 
 # the most rows an array can hold: the largest numpy index
 MAX_SAMPLES = int(np.iinfo(np.intp).max)
-
-
-def _check_types(**checks) -> None:
-    """Each keyword names an argument and holds (value, class); a value
-    that is not an instance of its class is an InvalidParameterError."""
-    for name, (value, cls) in checks.items():
-        if not isinstance(value, cls):
-            raise InvalidParameterError(f"{name} must be a {cls.__name__}, got {value!r}")
 
 
 def _generated_size(training_size: int, testing_size: int) -> int:
@@ -71,8 +63,9 @@ class SessionConfig:
     filter_threshold: float | None = None
 
     def __post_init__(self):
-        _check_types(channel=(self.channel, ChannelParams), qmlc=(self.qmlc, qmlc.QmlcParams),
-                     rule_id=(self.rule_id, str))
+        instance("channel", self.channel, ChannelParams)
+        instance("qmlc", self.qmlc, qmlc.QmlcParams)
+        instance("rule_id", self.rule_id, str)
         object.__setattr__(self, "vm", real_number("vm", self.vm))
         object.__setattr__(self, "auc_threshold", real_number("auc_threshold", self.auc_threshold))
         for name in ("filter_quantile", "filter_threshold"):
@@ -130,7 +123,7 @@ def _generate_population(scheme: ModulationScheme, size: int, channel: ChannelPa
     of uniformly drawn states: the states come from the first of two
     streams split from rng, the channel noise from the second."""
     rng_states, rng_channel = rng.split(2)
-    drawn = rng_states.integers(0, scheme.n_states, size)
+    drawn = rng_states.generator.integers(0, scheme.n_states, size)
     sent = scheme.points[drawn]
     received = transmit_batch(sent, channel, rng_channel)
     return drawn + 1, scheme.label_flags[drawn], sent, received
@@ -144,7 +137,8 @@ def state_learning(config: SessionConfig, rng: RandomSource) -> LearningOutcome:
     filter threshold on the whole population, then splits the kept samples
     into the training and testing sets in generation order.
     """
-    _check_types(config=(config, SessionConfig), rng=(rng, RandomSource))
+    instance("config", config, SessionConfig)
+    instance("rng", rng, RandomSource)
     scheme = config.scheme
     wanted = config.training_size + config.testing_size
     generated = _generated_size(config.training_size, config.testing_size)
@@ -229,7 +223,9 @@ def state_prediction(clf: qmlc.TrainedClassifier, config: SessionConfig,
     not simulated bit-level; their cost enters the key rate through beta
     and Delta(n).
     """
-    _check_types(clf=(clf, qmlc.TrainedClassifier), config=(config, SessionConfig), rng=(rng, RandomSource))
+    instance("clf", clf, qmlc.TrainedClassifier)
+    instance("config", config, SessionConfig)
+    instance("rng", rng, RandomSource)
     scheme, rule = config.scheme, config.rule
     indices, _, _, received = _generate_population(scheme, config.prediction_block, config.channel, rng)
     features = extract_batch(received, scheme.points)
@@ -296,8 +292,10 @@ def intercept_resend_demo() -> list[AttackScenario]:
 
 def format_attack_table(scenarios: list[AttackScenario]) -> str:
     """Text table of the demo: one row per scenario, three strings per party."""
-    if not (isinstance(scenarios, (list, tuple)) and all(isinstance(sc, AttackScenario) for sc in scenarios)):
+    if not isinstance(scenarios, (list, tuple)):
         raise InvalidParameterError(f"scenarios must be a list of AttackScenario, got {scenarios!r}")
+    for i, sc in enumerate(scenarios):
+        instance(f"scenarios[{i}]", sc, AttackScenario)
     header_states = "  ".join(f"a{k}" for k in DEMO_SENT_STATES)
     lines = [
         f"{'scenario':<48}  {'Alice':<17}  {'Eve':<17}  {'Bob':<17}",

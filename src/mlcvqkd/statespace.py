@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParameterError, array, real_number
+from .errors import InvalidInputError, InvalidParameterError, array, instance, member, real_number
 
 N_LABELS = 4
 _FLAG_WEIGHTS = 1 << np.arange(N_LABELS)  # (1, 2, 4, 8)
@@ -67,10 +67,7 @@ class ModulationScheme:
     modulation_variance: float
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "kind", ModulationKind(self.kind))
-        except ValueError:
-            raise InvalidParameterError(f"unknown modulation kind {self.kind!r}") from None
+        object.__setattr__(self, "kind", member("modulation kind", self.kind, ModulationKind))
         vm = real_number("modulation_variance", self.modulation_variance)
         if not (vm > 0 and math.isfinite(vm)):
             raise InvalidParameterError(f"modulation variance must be finite and positive, got {vm}")
@@ -126,10 +123,8 @@ class EncodingRule:
     mapping: Mapping[int, str] = field(hash=False)
 
     def __post_init__(self):
-        if not isinstance(self.rule_id, str):
-            raise InvalidParameterError(f"rule_id must be a str, got {self.rule_id!r}")
-        if not isinstance(self.mapping, Mapping):
-            raise InvalidParameterError(f"rule {self.rule_id}: mapping must be a Mapping, got {self.mapping!r}")
+        instance("rule_id", self.rule_id, str)
+        instance(f"rule {self.rule_id}: mapping", self.mapping, Mapping)
         owner = {}
         for k, bits in self.mapping.items():
             if not isinstance(bits, str) or not bits or any(c not in "01" for c in bits):
@@ -146,8 +141,7 @@ def encode(rule: EncodingRule, index: int) -> str:
     the same lookup; a mismatch between their rules is what produces
     divergent keys.
     """
-    if not isinstance(rule, EncodingRule):
-        raise InvalidParameterError(f"rule must be an EncodingRule, got {rule!r}")
+    instance("rule", rule, EncodingRule)
     try:
         return rule.mapping[index]
     except (KeyError, TypeError):  # TypeError: an unhashable index

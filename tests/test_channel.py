@@ -124,7 +124,7 @@ class TestDeterminism:
     def test_split_children_are_reproducible_and_distinct(self):
         a, b = RandomSource(99).split(2)
         a2, b2 = RandomSource(99).split(2)
-        draw = lambda src: src.normal(1.0, 8)
+        draw = lambda src: src.generator.normal(0.0, 1.0, 8)
         np.testing.assert_array_equal(draw(a), draw(a2))
         np.testing.assert_array_equal(draw(b), draw(b2))
         assert not np.array_equal(draw(RandomSource(99).split(2)[0]), draw(RandomSource(99).split(2)[1]))
@@ -224,7 +224,7 @@ class TestBayesOptimalDecoderOracle:
         scheme = build_scheme(kind, 400.0)
         params = ChannelParams(distance_km=0.0, excess_noise=0.0)
         rng = RandomSource(3)
-        drawn = rng.integers(0, scheme.n_states, 400)
+        drawn = rng.generator.integers(0, scheme.n_states, 400)
         labelsets = [set(labels_of(point)) for point in scheme.points]
         received = transmit_batch(scheme.points[drawn], params, rng)
         decoded = bayes_optimal_labels(

@@ -1,11 +1,15 @@
 """errors.array is the one rule for array arguments: every public function
-taking an array returns or raises an MlcvqkdError, whatever it is given.
-Every public function also returns or raises one when given None in
-place of any argument."""
+taking an array returns or raises an MlcvqkdError, whatever it is given,
+and what it returns is finite. Every public function also returns or
+raises one when given None in place of any argument, and the constructor
+and methods of every public class when given any hostile value in place of
+any argument."""
 
+import dataclasses
 import inspect
 import math
 import warnings
+from enum import Enum
 
 import numpy as np
 import pytest
@@ -16,11 +20,12 @@ import mlcvqkd
 from mlcvqkd import protocol
 from mlcvqkd.channel import ChannelParams, RandomSource, transmit_batch
 from mlcvqkd.classifier import QmlcParams, TrainedClassifier, posterior_ratios, predict_batch, train
-from mlcvqkd.errors import InvalidInputError, MlcvqkdError, array
+from mlcvqkd.errors import InvalidInputError, InvalidParameterError, MlcvqkdError, array
 from mlcvqkd.features import extract_batch, filter_features, resolve_threshold
-from mlcvqkd.keyrate import KeyRateParams, Protocol, key_rates
-from mlcvqkd.metrics import average_precision, evaluate, prf, roc_curve
-from mlcvqkd.statespace import NAMED_RULES, build_scheme, quadrant_flags
+from mlcvqkd.keyrate import KeyRateParams, Protocol, RateResult, key_rates
+from mlcvqkd.metrics import EvaluationReport, average_precision, evaluate, prf, roc_curve
+from mlcvqkd.protocol import SessionConfig, SessionTranscript
+from mlcvqkd.statespace import NAMED_RULES, EncodingRule, ModulationScheme, build_scheme, quadrant_flags
 
 SCHEME = build_scheme("8psk", 2.0)
 POINTS = np.vstack([SCHEME.points, 0.5 * SCHEME.points + 0.1])  # (16, 2)
@@ -63,6 +68,7 @@ CASES = {
 # hostile values of any parameter
 POOL = [
     None, True, False, "ab", b"ab", [[1.0], [1.0, 2.0]], np.array([None, 1.0], dtype=object), {},
+    np.float32(0.5), np.int64(-3), np.uint8(3), np.bool_(True), np.complex128(1j),
     math.nan, math.inf, np.array(1.0), np.ones(3), np.ones((2, 2, 2)), np.ones(2, dtype=complex),
     [], np.empty(0), np.empty((0, 2)), np.empty((0, 4)), np.empty((0, 0)), np.ones((3, 5)),
     2**70, [2**70, 1], [[2**70, 1.0]],
@@ -99,21 +105,51 @@ def argument(valid):
     return st.one_of(st.just(valid), st.sampled_from(POOL), st.sampled_from(DAMAGE).map(lambda damage: damage(valid)))
 
 
-@pytest.mark.parametrize("call, valid", CASES.values(), ids=list(CASES))
+def non_finite(value, path="result"):
+    """The paths of the non-finite floats in a result: a float or a numpy
+    array, or a tuple, list or dataclass holding them."""
+    if isinstance(value, (float, np.floating)):
+        return set() if math.isfinite(value) else {path}
+    if isinstance(value, np.ndarray):
+        return set() if value.dtype.kind not in "fc" or np.isfinite(value).all() else {path}
+    if isinstance(value, (tuple, list)):
+        return set().union(*(non_finite(v, f"{path}[{i}]") for i, v in enumerate(value)))
+    if dataclasses.is_dataclass(value):
+        return set().union(*(non_finite(getattr(value, f.name), f"{path}.{f.name}")
+                             for f in dataclasses.fields(value)))
+    return set()
+
+
+def undefined_aucs(name, args):
+    """The paths of the NaN AUCs that roc_curve and evaluate document for a
+    label whose truth is single-class."""
+    if name == "roc_curve":
+        truth = array("truth", args["truth"], (None,), bool)
+        return {"result[1]"} if truth.all() or not truth.any() else set()
+    if name == "evaluate":
+        truths = array("truths", args["true_flags"], (None, None), bool)
+        single = truths.all(axis=0) | ~truths.any(axis=0)
+        return {f"result.per_label_auc[{j}]" for j in np.flatnonzero(single)}
+    return set()
+
+
+@pytest.mark.parametrize("name", CASES)
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_hostile_arrays_return_or_raise_a_package_error(call, valid, data):
-    args = {name: data.draw(argument(value), label=name) for name, value in valid.items()}
+def test_hostile_arrays_return_or_raise_a_package_error(name, data):
+    call, valid = CASES[name]
+    args = {param: data.draw(argument(value), label=param) for param, value in valid.items()}
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         try:
-            call(**args)
+            result = call(**args)
         except MlcvqkdError:
-            pass
+            return
+    assert non_finite(result) <= undefined_aucs(name, args)
 
 
-# each of these once escaped as a raw ValueError, AxisError or IndexError, or
-# overflowed with a RuntimeWarning
+# each of these once escaped as a raw ValueError, AxisError, IndexError,
+# TypeError, AttributeError or OverflowError, or overflowed with a RuntimeWarning
 FORMER_ESCAPES = {
     "extract_batch str points": lambda: extract_batch("ab", SCHEME.points),
     "extract_batch str refs": lambda: extract_batch(POINTS, "x"),
@@ -132,13 +168,25 @@ FORMER_ESCAPES = {
                                                         RandomSource(0)),
     "from_json_dict huge counts": lambda: TrainedClassifier.from_json_dict(
         {**DOC, "counts_pos": np.full_like(DOC["counts_pos"], 1e308).tolist()}),
+    "TrainedClassifier 1-d counts": lambda: TrainedClassifier(CLF.params, FEATURES, FLAGS, CLF.prior_pos,
+                                                              np.ones(3), np.ones(3)),
+    "TrainedClassifier str counts": lambda: TrainedClassifier(CLF.params, FEATURES, FLAGS, CLF.prior_pos,
+                                                              CLF.counts_pos, "ab"),
+    # a count numpy cannot take; one it can take would spawn that many streams
+    "split past numpy's largest count": lambda: RandomSource(1).split(2**70),
+    "TrainedClassifier None params": lambda: TrainedClassifier(None, FEATURES, FLAGS, CLF.prior_pos, CLF.counts_pos,
+                                                               CLF.counts_neg),
+    "RateResult str key rate": lambda: RateResult(Protocol.GAUSSIAN, "x", 1.0, 1.0),
 }
+# the former escapes that are a bad parameter rather than bad input data
+PARAMETER_ESCAPES = {"split past numpy's largest count", "TrainedClassifier None params", "RateResult str key rate"}
 
 
-@pytest.mark.parametrize("call", FORMER_ESCAPES.values(), ids=list(FORMER_ESCAPES))
-def test_former_escapes_are_input_errors(call):
-    with pytest.raises(InvalidInputError):
-        call()
+@pytest.mark.parametrize("name", FORMER_ESCAPES)
+def test_former_escapes_are_input_errors(name):
+    # an InvalidParameterError for the escapes named in PARAMETER_ESCAPES
+    with pytest.raises(InvalidParameterError if name in PARAMETER_ESCAPES else InvalidInputError):
+        FORMER_ESCAPES[name]()
 
 
 class TestArray:
@@ -225,3 +273,79 @@ def test_none_in_any_parameter_returns_or_raises_a_package_error(fn, name):
             fn(**{**VALID_CALLS[fn], name: None})
         except MlcvqkdError:
             pass
+
+
+def field_values(obj):
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
+TRANSCRIPT = SessionTranscript(n_sent=3, n_erased=1, sent_states=np.array([4, 7, 2]),
+                               predicted_states=np.array([4, 0, 2]), alice_key="100110", bob_key="100110",
+                               agreement_rate=1.0, rule_id="rule2")
+
+# a valid value of every parameter of every public class's constructor and of
+# its public methods that take arguments, by parameter name; the exceptions
+# and enums of mlcvqkd.__all__ are left out: an exception takes any message,
+# and an enum's constructor is the lookup that errors.member turns into an
+# InvalidParameterError
+CLASS_CALLS = {
+    "ChannelParams": (ChannelParams, field_values(ChannelParams(10.0, excess_noise=0.01, phase_drift=0.7))),
+    "EncodingRule": (EncodingRule, {"rule_id": "r", "mapping": {1: "0", 2: "10"}}),
+    "EvaluationReport": (EvaluationReport, field_values(evaluate(**CASES["evaluate"][1]))),
+    "KeyRateParams": (KeyRateParams, field_values(FINITE)),
+    "KeyRateParams.at": (FINITE.at, {"vm": 2.0, "transmittance": 0.3}),
+    "ModulationScheme": (ModulationScheme, {"kind": "8psk", "modulation_variance": 2.0}),
+    "ModulationScheme.decode": (SCHEME.decode, {"flags": FLAGS}),
+    "QmlcParams": (QmlcParams, {"k": 3, "s": 1.0, "t": 1.0}),
+    "RandomSource": (RandomSource, {"seed": 1}),
+    "RandomSource.split": (RandomSource(1).split, {"n": 2}),
+    "RateResult": (RateResult, {"protocol": Protocol.GAUSSIAN, "key_rate": 0.1, "mutual_information": 1.0,
+                                "holevo_term": 0.9, "delta_n": 0.01}),
+    "SessionConfig": (SessionConfig, field_values(SMALL_SESSION)),
+    "SessionTranscript": (SessionTranscript, field_values(TRANSCRIPT)),
+    "TrainedClassifier": (TrainedClassifier, {"params": CLF.params, "features": FEATURES, "label_flags": FLAGS,
+                                              "prior_pos": CLF.prior_pos, "counts_pos": CLF.counts_pos,
+                                              "counts_neg": CLF.counts_neg}),
+    "TrainedClassifier.from_json_dict": (TrainedClassifier.from_json_dict, {"doc": DOC}),
+}
+
+CLASS_ARGUMENTS = [(name, param) for name, (_, valid) in CLASS_CALLS.items() for param in valid]
+
+
+def public_parameters(fn):
+    return [name for name in inspect.signature(fn).parameters if not name.startswith("_") and name != "self"]
+
+
+def test_every_public_class_and_method_has_valid_values_for_each_parameter():
+    wanted = set()
+    for name in mlcvqkd.__all__:
+        cls = getattr(mlcvqkd, name)
+        if inspect.isclass(cls) and not issubclass(cls, (Exception, Enum)):
+            wanted.add(name)
+            wanted.update(f"{name}.{attr}" for attr in vars(cls) if not attr.startswith("_")
+                          and callable(getattr(cls, attr)) and public_parameters(getattr(cls, attr)))
+    assert wanted == set(CLASS_CALLS)
+    for name, (call, valid) in CLASS_CALLS.items():
+        assert list(valid) == public_parameters(call), name
+
+
+@pytest.mark.parametrize("name", CLASS_CALLS)
+def test_valid_class_values_are_accepted(name):
+    call, valid = CLASS_CALLS[name]
+    call(**valid)
+
+
+@pytest.mark.parametrize("name, param", CLASS_ARGUMENTS, ids=[f"{name}-{param}" for name, param in CLASS_ARGUMENTS])
+def test_hostile_values_in_any_class_parameter_return_or_raise_a_package_error(name, param):
+    call, valid = CLASS_CALLS[name]
+    escapes = []
+    for value in POOL:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                call(**{**valid, param: value})
+            except MlcvqkdError:
+                pass
+            except Exception as exc:  # a raw exception, or a RuntimeWarning made an error
+                escapes.append(f"{value!r}: {exc!r}")
+    assert escapes == []

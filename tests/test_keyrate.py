@@ -339,7 +339,7 @@ class TestCorrelationZ:
 
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_equal_keys_give_one_float(self, protocol):
-        covariance_z.cache_clear()
+        keyrate._cached_z.cache_clear()
         first = covariance_z(protocol.value, np.float64(0.7))
         for key in ((protocol, 0.7), (protocol.value, 0.7), (protocol, np.float64(0.7))):
             z = covariance_z(*key)
@@ -352,8 +352,8 @@ class TestCorrelationZ:
     @pytest.mark.parametrize("protocol", list(Protocol))
     @pytest.mark.parametrize("vm", [0.0, 1e-3, 0.35, 1.0, 2.0, 50.0, 1400.0])
     def test_cached_z_is_the_computed_z(self, protocol, vm):
-        covariance_z.cache_clear()
-        want = covariance_z.__wrapped__(protocol, vm)
+        keyrate._cached_z.cache_clear()
+        want = keyrate._cached_z.__wrapped__(protocol, vm)
         covariance_z(protocol, vm)  # fills the cache
         assert covariance_z(protocol, vm).hex() == want.hex()
 
@@ -658,7 +658,7 @@ class TestZOncePerVm:
         params = KeyRateParams(vm=1.0, transmittance=0.5, protocol=protocol, **(FINITE_BLOCK if finite else {}))
         distances = range(0, 151)
         got = optimize_vm(distances, params)
-        covariance_z.cache_clear()
+        keyrate._cached_z.cache_clear()
         assert got == per_point_optimize_vm(protocol, distances, params, finite=finite)
         if finite:  # the finite-size rows cross the positivity edge inside 150 km
             assert {r.no_positive_rate for r in got} == {False, True}
@@ -685,7 +685,7 @@ class TestZOncePerVm:
             except NumericalDomainError as exc:
                 return type(exc), str(exc), exc.values
 
-        covariance_z.cache_clear()
+        keyrate._cached_z.cache_clear()
         cold = repr(outcome())  # repr tells every float bit apart, -0.0 from 0.0 included
         assert repr(outcome()) == cold
 

@@ -55,3 +55,26 @@ def test_only_the_errors_module_converts_arrays():
                for node in ast.walk(ast.parse(path.read_text(), str(path))))
     )
     assert converters == ["errors.py"]
+
+
+def isinstance_class_names(tree) -> set[str]:
+    """The class names that the isinstance calls of one module test against."""
+    def names(node):
+        if isinstance(node, ast.Tuple):
+            return {name for element in node.elts for name in names(element)}
+        if isinstance(node, ast.Attribute):  # qmlc.QmlcParams
+            return {node.attr}
+        return {node.id} if isinstance(node, ast.Name) else set()
+
+    return {name for node in ast.walk(tree) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2 for name in names(node.args[1])}
+
+
+def test_only_the_errors_module_checks_for_a_package_class():
+    # errors.instance holds the one type check of an object argument
+    package = ROOT / "src" / "mlcvqkd"
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in package.rglob("*.py")}
+    classes = {node.name for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    assert {"KeyRateParams", "TrainedClassifier", "AttackScenario"} <= classes  # the scan found the classes
+    checkers = {name for name, tree in trees.items() if isinstance_class_names(tree) & classes}
+    assert checkers <= {"errors.py"}

@@ -102,7 +102,7 @@ class TestGeneratePopulation:
         channel = ChannelParams(distance_km=10.0, excess_noise=0.01)
         indices, _, sent, received = _generate_population(scheme, 300, channel, RandomSource(5))
         rng_states, rng_channel = RandomSource(5).split(2)
-        np.testing.assert_array_equal(indices, rng_states.integers(0, 8, 300) + 1)
+        np.testing.assert_array_equal(indices, rng_states.generator.integers(0, 8, 300) + 1)
         np.testing.assert_array_equal(received, transmit_batch(sent, channel, rng_channel))
 
 
