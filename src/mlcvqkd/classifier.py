@@ -53,7 +53,11 @@ class TrainedClassifier:
     Holds the training features and label flags (the kNN index), the
     priors, the raw per-count tables and the smoothed conditionals. The
     checks here serve train, from_json_dict and direct construction alike:
-    the counts must be finite, nonnegative and of finite row sums.
+    each prior must lie in [0, 1), and the counts must be finite,
+    nonnegative and of finite row sums. A prior of 0 is what train makes of
+    an absent label when the smoothing s underflows; one of 1 or more would
+    leave P(not H_j) at 0 or below (train raises NumericalDomainError for a
+    smoothed prior that rounds to 1).
     """
 
     def __init__(self, params, features, label_flags, prior_pos, counts_pos, counts_neg):
@@ -70,10 +74,13 @@ class TrainedClassifier:
             sums = [c.sum(axis=1, keepdims=True) for c in counts]
         if not all(np.isfinite(total).all() for total in sums):
             raise InvalidInputError("each row of counts must sum to a finite number")
+        prior_pos = array("prior_pos", prior_pos, (n_labels,))
+        if not ((prior_pos >= 0) & (prior_pos < 1)).all():  # NaN fails too
+            raise InvalidInputError(f"each prior_pos must be in [0, 1), got {prior_pos.tolist()}")
         self.params = params
         self.features = features
         self.label_flags = label_flags
-        self.prior_pos = prior_pos = array("prior_pos", prior_pos, (n_labels,))  # P(H_j), shape (l,)
+        self.prior_pos = prior_pos                  # P(H_j), shape (l,)
         self.prior_neg = 1.0 - prior_pos            # P(not H_j)
         self.counts_pos, self.counts_neg = counts   # sigma_j[r] and sigma-bar_j[r], shape (l, k+1)
         # smoothed conditionals P(C_j = r | H_j) and P(C_j = r | not H_j)
@@ -347,6 +354,8 @@ def train(features: np.ndarray, label_flags: np.ndarray, params: QmlcParams) -> 
 
     n_labels = label_flags.shape[1]
     prior_pos = (s + label_flags.sum(axis=0)) / (2.0 * s + m)
+    if (prior_pos == 1.0).any():  # a label every row carries, with s below m's rounding: P(not H_j) = 0
+        raise NumericalDomainError("a smoothed prior rounds to 1", s=s)
 
     # psi[i, j]: carriers of label j among sample i's k nearest neighbors,
     # the sample itself excluded from its own neighborhood

@@ -18,7 +18,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical-domain error,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import dataclasses
 import functools
@@ -33,8 +32,8 @@ import orjson
 
 from . import classifier as qmlc
 from .channel import ChannelParams, RandomSource, transmittance_from_distance
-from .errors import InvalidInputError, InvalidParameterError, LearningRejectedError, MlcvqkdError, integer
-from .keyrate import KeyRateParams, Protocol, optimize_vm, rate_asymptotic, rate_finite
+from .errors import InvalidInputError, InvalidParameterError, LearningRejectedError, MlcvqkdError, integer, real_number
+from .keyrate import KeyRateParams, optimize_vm, rate_asymptotic, rate_finite
 from .protocol import (
     MAX_SAMPLES,
     SessionConfig,
@@ -121,7 +120,9 @@ def _read_json(path: str, what: str):
             return json.load(fh)
     except FileNotFoundError:
         raise InvalidInputError(f"{what} file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # a directory, say
+        raise InvalidInputError(f"{what} file {path} cannot be read: {exc.strerror}") from None
+    except ValueError as exc:  # not JSON, not UTF-8, or an integer past Python's digit limit
         raise InvalidInputError(f"{what} file {path} is not valid JSON: {exc}") from None
 
 
@@ -147,30 +148,11 @@ def _integer(value, name: str) -> int:
     return integer(name, value)
 
 
-def _real(value, name: str) -> float:
-    """A real config value: an int or a float, not a bool or a string."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise InvalidInputError(f"invalid config value: {name} must be a number, got {value!r}")
-
-
 def _reals(value, name: str) -> list[float]:
     """A JSON array of real config values."""
     if not isinstance(value, list):
-        raise InvalidInputError(f"invalid config value: {name} must be an array, got {value!r}")
-    return [_real(v, name) for v in value]
-
-
-@contextlib.contextmanager
-def _config_values():
-    """Report a config value that cannot become an object (an unknown enum
-    member, null for a number) as invalid input."""
-    try:
-        yield
-    except MlcvqkdError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError(f"invalid config value: {exc}") from None
+        raise InvalidInputError(f"{name} must be an array, got {value!r}")
+    return [real_number(name, v) for v in value]
 
 
 @functools.cache
@@ -179,16 +161,16 @@ def _field_types(cls) -> dict:
 
 
 def _convert(tp, value, name: str):
-    """A config value as a field of type tp: int through _integer, float
-    through _real, T | None passes null, and str and enums through the type
-    itself."""
+    """A config value for a field of type tp: int through _integer, float
+    through real_number, and T | None passes null. Any other value (an enum
+    or a str) passes unchanged, for the dataclass to check."""
     if typing.get_args(tp):  # T | None
         if value is None:
             return None
         tp = typing.get_args(tp)[0]
     if tp is int:
         return _integer(value, name)
-    return _real(value, name) if tp is float else tp(value)
+    return real_number(name, value) if tp is float else value
 
 
 def _from_sections(cls, sections: dict, **given):
@@ -204,7 +186,6 @@ def _from_sections(cls, sections: dict, **given):
     return cls(**given)
 
 
-@_config_values()
 def _session_config(config: dict) -> SessionConfig:
     return _from_sections(
         SessionConfig, {"scheme": config["scheme"], "session": config["session"]},
@@ -290,9 +271,8 @@ def cmd_predict(config: dict, out_dir: Path, classifier_path: str | None) -> int
 
 def cmd_evaluate(config: dict, out_dir: Path) -> int:
     rows = []
-    with _config_values():
-        vm_grid = _reals(config["evaluate"]["vm_grid"], "evaluate.vm_grid")
-        distance_grid = _reals(config["evaluate"]["distance_grid"], "evaluate.distance_grid")
+    vm_grid = _reals(config["evaluate"]["vm_grid"], "evaluate.vm_grid")
+    distance_grid = _reals(config["evaluate"]["distance_grid"], "evaluate.distance_grid")
     cells = [(vm, d) for vm in vm_grid for d in distance_grid]
     rngs = _stage_rng(config, "evaluate").split(len(cells))
     for (vm, distance), rng in zip(cells, rngs):
@@ -318,26 +298,29 @@ def cmd_evaluate(config: dict, out_dir: Path) -> int:
     return 0
 
 
-@_config_values()
-def _keyrate_params(section: dict, vm: float, transmittance: float, protocol: Protocol) -> KeyRateParams:
+def _keyrate_params(section: dict, **given) -> KeyRateParams:
+    """The KeyRateParams of a keyrate config section; a field in `given` is
+    not read from the section (the transmittance, which it lacks, or a
+    command's own vm and protocol)."""
     if not isinstance(section["finite"], bool):
         raise InvalidParameterError(f"keyrate.finite must be true or false, got {section['finite']!r}")
-    big_n = _integer(section["N"], "keyrate.N") if section["finite"] else None
-    n = None if big_n is None else int(round(_real(section["n_fraction"], "keyrate.n_fraction") * big_n))
-    return _from_sections(KeyRateParams, {"keyrate": section}, vm=vm, transmittance=transmittance,
-                          protocol=protocol, n=n, big_n=big_n)
+    n = big_n = None
+    if section["finite"]:
+        big_n = _integer(section["N"], "keyrate.N")
+        fraction = real_number("keyrate.n_fraction", section["n_fraction"])
+        if not 0 < fraction <= 1:
+            raise InvalidParameterError(f"keyrate.n_fraction must be in (0, 1], got {fraction}")
+        n = round(fraction * real_number("keyrate.N", big_n))  # an N past the float range fails here
+    return _from_sections(KeyRateParams, {"keyrate": section}, n=n, big_n=big_n, **given)
 
 
 def cmd_keyrate(config: dict, out_dir: Path) -> int:
     section = config["keyrate"]
-    with _config_values():
-        protocol = Protocol(section["protocol"])
-        vm = _real(section["vm"], "keyrate.vm")
-        distances = _reals(section["distances_km"], "keyrate.distances_km")
+    distances = _reals(section["distances_km"], "keyrate.distances_km")
     # the section is converted once per table; rows differ in T only
-    base = _keyrate_params(section, vm, 1.0, protocol)
+    base = _keyrate_params(section, transmittance=1.0)
     rate_of = rate_asymptotic if base.n is None else rate_finite
-    name = protocol.value
+    name = base.protocol.value
     rows = []
     for distance in distances:
         t = transmittance_from_distance(distance)
@@ -360,12 +343,10 @@ def cmd_keyrate(config: dict, out_dir: Path) -> int:
 
 def cmd_optimize(config: dict, out_dir: Path) -> int:
     section = config["optimize"]
-    with _config_values():
-        protocol = Protocol(section["protocol"])
-        distances = _reals(section["distances_km"], "optimize.distances_km")
-        v_lo = _real(section["v_lo"], "optimize.v_lo")
-        v_hi = _real(section["v_hi"], "optimize.v_hi")
-    base = _keyrate_params(config["keyrate"], vm=1.0, transmittance=0.5, protocol=protocol)
+    distances = _reals(section["distances_km"], "optimize.distances_km")
+    v_lo = real_number("optimize.v_lo", section["v_lo"])
+    v_hi = real_number("optimize.v_hi", section["v_hi"])
+    base = _keyrate_params(config["keyrate"], vm=1.0, transmittance=0.5, protocol=section["protocol"])
     results = optimize_vm(distances, base, v_lo=v_lo, v_hi=v_hi)
     rows = [
         [r.distance_km, r.vm, r.key_rate, int(r.no_positive_rate)]
@@ -419,7 +400,10 @@ def main(argv=None) -> int:
             return 0
         config = load_config(args.config, args.seed)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file in the way, say
+            raise InvalidInputError(f"cannot make output directory {out_dir}: {exc.strerror}") from None
         code = run(config, out_dir, args)
         _write_json(out_dir / "effective_config.json", config)
         return code

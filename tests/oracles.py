@@ -37,7 +37,7 @@ import math
 import numpy as np
 
 from mlcvqkd.channel import transmittance_from_distance
-from mlcvqkd.cli import _config_values, _keyrate_params
+from mlcvqkd.cli import _keyrate_params
 from mlcvqkd.errors import InvalidParameterError
 from mlcvqkd.keyrate import (
     OptimalVariance,
@@ -399,21 +399,18 @@ def per_point_optimize_vm(protocol, distances_km, params, v_lo=0.05, v_hi=20.0,
 def per_row_keyrate_rows(section):
     """The rows of a keyrate table with the section converted and Z
     computed again for every distance: the package's earlier cmd_keyrate
-    loop, kept verbatim."""
-    with _config_values():
-        protocol = Protocol(section["protocol"])
-        vm = float(section["vm"])
-        distances = [float(d) for d in section["distances_km"]]
+    loop, with the section read by _keyrate_params."""
+    distances = [float(d) for d in section["distances_km"]]
     finite = bool(section["finite"])
     rows = []
     for distance in distances:
         t = transmittance_from_distance(distance)
-        params = _keyrate_params(section, vm, t, protocol)
+        params = _keyrate_params(section, transmittance=t)
         result = rate_finite(params) if finite else rate_asymptotic(params)
         rows.append([
             distance, t, params.vm, result.mutual_information,
             result.holevo_term, result.delta_n if result.delta_n is not None else 0.0,
-            result.key_rate, protocol.value,
+            result.key_rate, params.protocol.value,
         ])
     return rows
 

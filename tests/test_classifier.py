@@ -397,6 +397,15 @@ class TestPrediction:
         small = train(points, flags_from_sets(labelsets), QmlcParams(k=3, s=1e-300))
         assert np.isfinite(posterior_ratios(small, query)).all()
 
+    def test_prior_that_rounds_to_one_raises(self):
+        # every row carries label 1 and s is below the rounding of m = 12, so P(not H_1) would be 0;
+        # the constructor would blame prior_pos, which the caller never gave
+        points, labelsets = three_cluster_fixture()
+        flags = flags_from_sets(labelsets)
+        flags[:, 0] = True
+        with pytest.raises(NumericalDomainError, match=r"a smoothed prior rounds to 1 \(s=1e-20\)"):
+            train(points, flags, QmlcParams(k=3, s=1e-20))
+
     def test_threshold_above_map_shrinks_the_label_set(self):
         points, labelsets = three_cluster_fixture()
         strict = train(points, flags_from_sets(labelsets), QmlcParams(k=3, t=11.0))
@@ -499,6 +508,28 @@ class TestSerialization:
         doc[field] = value
         with pytest.raises(InvalidInputError, match="missing or mistyped field"):
             TrainedClassifier.from_json_dict(doc)
+
+    @pytest.mark.parametrize("prior_pos", [
+        [2.0, -1.0, 0.5, 0.5],  # once loaded, and predict_batch returned negative ratios
+        [1.0, 0.5, 0.5, 0.5],  # once loaded, and predict_batch blamed the smoothing
+        [-0.0001, 0.5, 0.5, 0.5],
+        [float("nan"), 0.5, 0.5, 0.5],
+    ])
+    def test_prior_outside_zero_to_one_rejected(self, prior_pos):
+        points, labelsets = three_cluster_fixture()
+        clf = train(points, flags_from_sets(labelsets), QmlcParams(k=3))
+        message = r"each prior_pos must be in \[0, 1\), got \["
+        with pytest.raises(InvalidInputError, match=message):
+            TrainedClassifier(clf.params, clf.features, clf.label_flags, prior_pos, clf.counts_pos, clf.counts_neg)
+        with pytest.raises(InvalidInputError, match=message):
+            TrainedClassifier.from_json_dict({**clf.to_json_dict(), "prior_pos": prior_pos})
+
+    def test_zero_prior_of_an_absent_label_loads(self):
+        # labels 3 and 4 are absent, and the smallest smoothing s underflows their priors to 0
+        points, labelsets = three_cluster_fixture()
+        clf = train(points, flags_from_sets(labelsets), QmlcParams(k=3, s=5e-324))
+        assert clf.prior_pos.tolist()[2:] == [0.0, 0.0]
+        assert TrainedClassifier.from_json_dict(clf.to_json_dict()).prior_pos.tolist() == clf.prior_pos.tolist()
 
 
 class TestAgainstBruteForce:

@@ -25,8 +25,10 @@ from mlcvqkd.cli import (
     load_config,
     main,
 )
+from mlcvqkd.errors import MlcvqkdError
 from mlcvqkd.keyrate import KeyRateParams, Protocol, optimize_vm, rate_asymptotic
 from mlcvqkd.protocol import SessionConfig, _generate_population, state_learning, state_prediction
+from mlcvqkd.statespace import build_scheme
 from oracles import csv_writer_table, per_point_optimize_vm, per_row_keyrate_rows
 
 QUIET_SESSION = {
@@ -102,6 +104,32 @@ class TestConfigLoading:
         assert code == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda path: path.mkdir(), "cannot be read: Is a directory"),
+        (lambda path: path.write_bytes(b"\xff\xfe{}"), "is not valid JSON: 'utf-8' codec can't decode"),
+        (lambda path: path.write_text('{"seed": 1' + "0" * 5000 + "}"), "is not valid JSON: Exceeds the limit"),
+    ])
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys, make, message):
+        # each once escaped as an IsADirectoryError, a UnicodeDecodeError or a ValueError, exit 1
+        make(tmp_path / "config")
+        code = main(["--config", str(tmp_path / "config"), "--out", str(tmp_path / "out"), "simulate"])
+        assert code == 2
+        assert f"error: config file {tmp_path / 'config'} {message}" in capsys.readouterr().err
+
+    def test_directory_classifier_is_a_config_error(self, tmp_path, capsys):
+        # once an IsADirectoryError, exit 1
+        code = main(["--out", str(tmp_path / "out"), "predict", "--classifier", str(tmp_path)])
+        assert code == 2
+        assert f"error: classifier file {tmp_path} cannot be read: Is a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out, reason", [("taken", "File exists"), ("taken/sub", "Not a directory")])
+    def test_output_directory_that_cannot_be_made_is_a_config_error(self, tmp_path, capsys, out, reason):
+        # a file in the way once raised a FileExistsError or NotADirectoryError, exit 1
+        (tmp_path / "taken").write_text("")
+        code = main(["--out", str(tmp_path / out), "keyrate"])
+        assert code == 2
+        assert f"error: cannot make output directory {tmp_path / out}: {reason}" in capsys.readouterr().err
+
     def test_format_flag_is_gone(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["--format", "csv", "--out", str(tmp_path), "simulate"])
@@ -140,7 +168,7 @@ class TestDefaultsAgree:
 
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_keyrate_defaults(self, protocol):
-        got = _keyrate_params(DEFAULT_CONFIG["keyrate"], 0.35, 0.4, protocol)
+        got = _keyrate_params({**DEFAULT_CONFIG["keyrate"], "protocol": protocol.value}, transmittance=0.4)
         assert got == KeyRateParams(vm=0.35, transmittance=0.4, protocol=protocol)
 
     def test_optimize_bounds(self):
@@ -213,33 +241,51 @@ class TestConfigValues:
         assert code == 2
         assert "keyrate.finite must be true or false" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value, command", [
-        ("scheme.kind", "16qam", "learn"),
-        ("keyrate.protocol", "bb84", "keyrate"),
-        ("optimize.protocol", "bb84", "optimize"),
-        ("channel.excess_noise", None, "simulate"),
-        ("keyrate.excess_noise", None, "keyrate"),
-        ("keyrate.distances_km", [10, None], "keyrate"),
-        ("optimize.v_lo", None, "optimize"),
-        ("evaluate.vm_grid", [None], "evaluate"),
-        ("evaluate.distance_grid", [10.0, "far"], "evaluate"),
-        ("session.filter_quantile", "abc", "learn"),
-        ("session.filter_threshold", "abc", "learn"),
+    @pytest.mark.parametrize("key, value, command, message", [
+        ("scheme.kind", "16qam", "learn", "unknown modulation kind '16qam'"),
+        ("keyrate.protocol", "bb84", "keyrate", "unknown protocol 'bb84'"),
+        ("optimize.protocol", "bb84", "optimize", "unknown protocol 'bb84'"),
+        ("session.rule_id", 5, "learn", "rule_id must be a str, got 5"),
+        ("channel.excess_noise", None, "simulate", "channel.excess_noise must be a real number, got None"),
+        ("keyrate.excess_noise", None, "keyrate", "keyrate.excess_noise must be a real number, got None"),
+        ("keyrate.distances_km", [10, None], "keyrate", "keyrate.distances_km must be a real number, got None"),
+        ("optimize.v_lo", None, "optimize", "optimize.v_lo must be a real number, got None"),
+        ("evaluate.vm_grid", [None], "evaluate", "evaluate.vm_grid must be a real number, got None"),
+        ("evaluate.distance_grid", [10.0, "far"], "evaluate",
+         "evaluate.distance_grid must be a real number, got 'far'"),
+        ("session.filter_quantile", "abc", "learn", "session.filter_quantile must be a real number, got 'abc'"),
+        ("session.filter_threshold", "abc", "learn", "session.filter_threshold must be a real number, got 'abc'"),
     ])
-    def test_unknown_member_or_null_is_a_config_error(self, tmp_path, capsys, key, value, command):
+    def test_unknown_member_or_null_is_a_config_error(self, tmp_path, capsys, key, value, command, message):
         config = with_value(key, value)
         code = main(["--config", write_config(tmp_path, config), "--out", str(tmp_path), command])
         assert code == 2
-        assert "invalid config value" in capsys.readouterr().err
+        assert f"error: {message}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, command, build", [
+        ("keyrate.protocol", "bogus", "keyrate", lambda v: KeyRateParams(vm=1.0, transmittance=0.5, protocol=v)),
+        ("optimize.protocol", "bogus", "optimize", lambda v: KeyRateParams(vm=1.0, transmittance=0.5, protocol=v)),
+        ("keyrate.protocol", ["ml"], "keyrate", lambda v: KeyRateParams(vm=1.0, transmittance=0.5, protocol=v)),
+        ("scheme.kind", "16qam", "simulate", lambda v: build_scheme(v, 2.0)),
+        ("scheme.kind", {}, "simulate", lambda v: build_scheme(v, 2.0)),
+        ("session.rule_id", 5, "learn", lambda v: SessionConfig(rule_id=v)),
+    ])
+    def test_enum_or_str_value_prints_the_library_message(self, tmp_path, capsys, key, value, command, build):
+        # the value reaches the dataclass unchanged, so its own check speaks
+        with pytest.raises(MlcvqkdError) as caught:
+            build(value)
+        code = main(["--config", write_config(tmp_path, with_value(key, value)), "--out", str(tmp_path), command])
+        assert code == caught.value.exit_code == 2
+        assert capsys.readouterr().err == f"error: {caught.value}\n"
 
     @pytest.mark.parametrize("key, value, command, message", [
-        ("keyrate.excess_noise", True, "keyrate", "keyrate.excess_noise must be a number"),
-        ("keyrate.eta", "0.6", "keyrate", "keyrate.eta must be a number"),
-        ("keyrate.vm", "0.35", "keyrate", "keyrate.vm must be a number"),
-        ("channel.distance_km", True, "simulate", "channel.distance_km must be a number"),
-        ("optimize.v_hi", "20", "optimize", "optimize.v_hi must be a number"),
+        ("keyrate.excess_noise", True, "keyrate", "keyrate.excess_noise must be a real number, got True"),
+        ("keyrate.eta", "0.6", "keyrate", "keyrate.eta must be a real number, got '0.6'"),
+        ("keyrate.vm", "0.35", "keyrate", "keyrate.vm must be a real number, got '0.35'"),
+        ("channel.distance_km", True, "simulate", "channel.distance_km must be a real number, got True"),
+        ("optimize.v_hi", "20", "optimize", "optimize.v_hi must be a real number, got '20'"),
         ("keyrate.distances_km", "25", "keyrate", "keyrate.distances_km must be an array"),
-        ("keyrate.distances_km", [10, True], "keyrate", "keyrate.distances_km must be a number"),
+        ("keyrate.distances_km", [10, True], "keyrate", "keyrate.distances_km must be a real number, got True"),
         ("optimize.distances_km", "25", "optimize", "optimize.distances_km must be an array"),
         ("optimize.distances_km", {"25": 1}, "optimize", "optimize.distances_km must be an array"),
         ("evaluate.vm_grid", "50", "evaluate", "evaluate.vm_grid must be an array"),
@@ -257,7 +303,7 @@ class TestConfigValues:
         config = integer_config("keyrate.n_fraction", value)
         code = main(["--config", write_config(tmp_path, config), "--out", str(tmp_path), "keyrate"])
         assert code == 2
-        assert "keyrate.n_fraction must be a number" in capsys.readouterr().err
+        assert f"keyrate.n_fraction must be a real number, got {value!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sizes, command, message", [
         ({"session.training_size": 2**70}, "learn", "training_size must be at most"),
@@ -555,12 +601,25 @@ class TestKeyrate:
         assert code == 2
         assert "20000.0 km at 0.2 dB/km transmits nothing" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fraction", [math.inf, math.nan, "half"])
-    def test_bad_n_fraction_is_a_config_error(self, tmp_path, capsys, fraction):
+    @pytest.mark.parametrize("fraction, message", [
+        (math.inf, "keyrate.n_fraction must be in (0, 1], got inf"),
+        (math.nan, "keyrate.n_fraction must be in (0, 1], got nan"),
+        (0, "keyrate.n_fraction must be in (0, 1], got 0.0"),
+        (1.5, "keyrate.n_fraction must be in (0, 1], got 1.5"),
+        ("half", "keyrate.n_fraction must be a real number, got 'half'"),
+    ])
+    def test_bad_n_fraction_is_a_config_error(self, tmp_path, capsys, fraction, message):
         override = {"keyrate": {"finite": True, "n_fraction": fraction, "distances_km": [10]}}
         code = main(["--config", write_config(tmp_path, override), "--out", str(tmp_path), "keyrate"])
         assert code == 2
-        assert "invalid config value" in capsys.readouterr().err
+        assert f"error: {message}\n" in capsys.readouterr().err
+
+    def test_block_length_past_the_float_range_is_a_config_error(self, tmp_path, capsys):
+        # n = n_fraction * N is a float product; an N past the float range once escaped as an OverflowError
+        override = {"keyrate": {"finite": True, "N": 10**400, "distances_km": [10]}}
+        code = main(["--config", write_config(tmp_path, override), "--out", str(tmp_path), "keyrate"])
+        assert code == 2
+        assert f"keyrate.N must be finite, got {10**400}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("finite", [False, True])
     @pytest.mark.parametrize("protocol", [p.value for p in Protocol])
@@ -598,7 +657,8 @@ class TestOptimize:
         code = main(["--config", write_config(tmp_path, override), "--out", str(tmp_path), "optimize"])
         assert code == 2
         # a string is not a number, whatever float() would make of it
-        want = f"optimize.{key} must be a number" if isinstance(value, str) else "finite 0 < v_lo < v_hi"
+        want = (f"optimize.{key} must be a real number, got {value!r}" if isinstance(value, str)
+                else "finite 0 < v_lo < v_hi")
         assert want in capsys.readouterr().err
 
     def test_finite_follows_keyrate_finite(self, tmp_path):

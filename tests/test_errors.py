@@ -1,9 +1,8 @@
 """errors.array is the one rule for array arguments: every public function
 taking an array returns or raises an MlcvqkdError, whatever it is given,
-and what it returns is finite. Every public function also returns or
-raises one when given None in place of any argument, and the constructor
-and methods of every public class when given any hostile value in place of
-any argument."""
+and what it returns is finite. Every public function, and the constructor
+and methods of every public class, also returns or raises one when given
+any hostile value in place of any argument."""
 
 import dataclasses
 import inspect
@@ -250,7 +249,7 @@ VALID_CALLS = {
     protocol.format_attack_table: {"scenarios": mlcvqkd.intercept_resend_demo()},
 }
 
-NONE_CALLS = [(fn, name) for fn, valid in VALID_CALLS.items() for name in valid]
+ARGUMENTS = [(fn, name) for fn, valid in VALID_CALLS.items() for name in valid]
 
 
 def test_every_public_function_has_valid_values_for_each_parameter():
@@ -265,14 +264,19 @@ def test_valid_values_are_accepted(fn, valid):
     fn(**valid)
 
 
-@pytest.mark.parametrize("fn, name", NONE_CALLS, ids=[f"{fn.__name__}-{name}" for fn, name in NONE_CALLS])
-def test_none_in_any_parameter_returns_or_raises_a_package_error(fn, name):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        try:
-            fn(**{**VALID_CALLS[fn], name: None})
-        except MlcvqkdError:
-            pass
+@pytest.mark.parametrize("fn, name", ARGUMENTS, ids=[f"{fn.__name__}-{name}" for fn, name in ARGUMENTS])
+def test_hostile_values_in_any_parameter_return_or_raise_a_package_error(fn, name):
+    escapes = []
+    for value in POOL:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                fn(**{**VALID_CALLS[fn], name: value})
+            except MlcvqkdError:
+                pass
+            except Exception as exc:  # a raw exception, or a RuntimeWarning made an error
+                escapes.append(f"{value!r}: {exc!r}")
+    assert escapes == []
 
 
 def field_values(obj):

@@ -78,3 +78,23 @@ def test_only_the_errors_module_checks_for_a_package_class():
     assert {"KeyRateParams", "TrainedClassifier", "AttackScenario"} <= classes  # the scan found the classes
     checkers = {name for name, tree in trees.items() if isinstance_class_names(tree) & classes}
     assert checkers <= {"errors.py"}
+
+
+def called_name(node) -> str | None:
+    """The name a call calls: Protocol for Protocol(...) and keyrate.Protocol(...)."""
+    if isinstance(node.func, ast.Attribute):
+        return node.func.attr
+    return node.func.id if isinstance(node.func, ast.Name) else None
+
+
+def test_only_the_errors_module_looks_up_a_package_enum():
+    # errors.member holds the one enum lookup; a config value reaches its dataclass unchanged
+    package = ROOT / "src" / "mlcvqkd"
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in package.rglob("*.py")}
+    enums = {node.name for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+             and any(isinstance(base, ast.Name) and base.id == "Enum" for base in node.bases)}
+    assert {"Protocol", "ModulationKind"} <= enums  # the scan found the enums
+    lookups = sorted(f"{name}:{node.lineno} {called_name(node)}" for name, tree in trees.items()
+                     for node in ast.walk(tree) if isinstance(node, ast.Call) and node.args
+                     and called_name(node) in enums and name != "errors.py")
+    assert lookups == []
