@@ -33,7 +33,7 @@ import orjson
 from . import classifier as qmlc
 from .channel import ChannelParams, RandomSource, transmittance_from_distance
 from .errors import InvalidInputError, InvalidParameterError, LearningRejectedError, MlcvqkdError, integer, real_number
-from .keyrate import KeyRateParams, optimize_vm, rate_asymptotic, rate_finite
+from .keyrate import KeyRateParams, _rate_columns, delta_n, optimize_vm
 from .protocol import (
     MAX_SAMPLES,
     SessionConfig,
@@ -319,18 +319,20 @@ def cmd_keyrate(config: dict, out_dir: Path) -> int:
     distances = _reals(section["distances_km"], "keyrate.distances_km")
     # the section is converted once per table; rows differ in T only
     base = _keyrate_params(section, transmittance=1.0)
-    rate_of = rate_asymptotic if base.n is None else rate_finite
-    name = base.protocol.value
-    rows = []
+    transmittances, bad_distance = [], None
     for distance in distances:
-        t = transmittance_from_distance(distance)
-        params = base.at(transmittance=t)
-        result = rate_of(params)
-        rows.append([
-            distance, t, params.vm, result.mutual_information,
-            result.holevo_term, result.delta_n if result.delta_n is not None else 0.0,
-            result.key_rate, name,
-        ])
+        try:
+            transmittances.append(transmittance_from_distance(distance))
+        except InvalidParameterError as exc:  # raised after the rows before it are rated, as in row order
+            bad_distance = exc
+            break
+    keys, i_ab, eve = _rate_columns(base, [base.vm] * len(transmittances), transmittances)
+    if bad_distance is not None:
+        raise bad_distance
+    d = 0.0 if base.n is None else delta_n(base)
+    name = base.protocol.value
+    rows = [[distance, t, base.vm, i, e, d, key, name]
+            for distance, t, i, e, key in zip(distances, transmittances, i_ab.tolist(), eve.tolist(), keys.tolist())]
     _write_csv(
         out_dir / "keyrate.csv",
         ["distance_km", "transmittance", "vm", "mutual_information", "holevo_term",

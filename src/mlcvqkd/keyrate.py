@@ -33,7 +33,7 @@ traditional rate structure for conservative comparisons.
 
 from __future__ import annotations
 
-import functools
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -73,12 +73,6 @@ def _checked_transmittance(value) -> float:
     return t
 
 
-def _line_terms(t: float, excess_noise: float, chi_het: float) -> tuple[float, float]:
-    """chi_line and chi_tot at transmittance t."""
-    chi_line = 1.0 / t - 1.0 + excess_noise
-    return chi_line, chi_line + chi_het / t
-
-
 @dataclass(frozen=True)
 class KeyRateParams:
     """Every scalar entering the rate formulas.
@@ -88,9 +82,7 @@ class KeyRateParams:
     terms v = V_m + 1, chi_line, chi_het and chi_tot (see the module
     docstring) are computed once, when a point is made, and read as
     attributes; they are not fields, so they take no part in ==, repr or
-    dataclasses.asdict. ``at`` makes the same point at another V_m or T
-    and checks only what it replaces, which is what a sweep over either
-    needs.
+    dataclasses.asdict.
 
     Attributes
     ----------
@@ -160,28 +152,10 @@ class KeyRateParams:
         if not math.isfinite(self.ml_eve_term):
             raise InvalidParameterError(f"ml_eve_term must be finite, got {self.ml_eve_term}")
         chi_het = (1.0 + (1.0 - self.eta) + 2.0 * self.v_el) / self.eta
-        chi_line, chi_tot = _line_terms(self.transmittance, self.excess_noise, chi_het)
+        chi_line = 1.0 / self.transmittance - 1.0 + self.excess_noise
         # plain attributes, not fields, so they are written past the frozen __setattr__
-        vars(self).update(v=self.vm + 1.0, chi_line=chi_line, chi_het=chi_het, chi_tot=chi_tot)
-
-    def at(self, *, vm: float | None = None, transmittance: float | None = None) -> "KeyRateParams":
-        """This point with vm and/or transmittance replaced (None keeps a field).
-
-        The copy equals dataclasses.replace(self, vm=..., transmittance=...)
-        in every field and channel term, and a bad value raises the
-        constructor's InvalidParameterError, but only the replaced fields are
-        checked again and only the terms that depend on them recomputed.
-        """
-        fields = vars(self).copy()
-        if vm is not None:
-            fields["vm"] = vm = _checked_vm(vm)
-            fields["v"] = vm + 1.0
-        if transmittance is not None:
-            fields["transmittance"] = t = _checked_transmittance(transmittance)
-            fields["chi_line"], fields["chi_tot"] = _line_terms(t, self.excess_noise, self.chi_het)
-        point = object.__new__(type(self))
-        object.__setattr__(point, "__dict__", fields)
-        return point
+        vars(self).update(v=self.vm + 1.0, chi_line=chi_line, chi_het=chi_het,
+                          chi_tot=chi_line + chi_het / self.transmittance)
 
 
 @dataclass(frozen=True)
@@ -287,10 +261,9 @@ def _weights_eight(a2: float) -> list[float]:
     ]
 
 
-@functools.lru_cache(maxsize=128)
-def _cached_z(protocol: Protocol, vm: float) -> float:
-    """covariance_z of a checked protocol and V_m, from a cache of the last
-    128 values; the rate path, whose points are checked, calls it directly."""
+def _covariance_z(protocol: Protocol, vm: float) -> float:
+    """covariance_z of a checked protocol and V_m; the rate path, whose
+    points are checked, calls it directly."""
     if vm == 0.0:
         return 0.0
     if protocol is Protocol.GAUSSIAN or protocol is Protocol.ML:
@@ -311,17 +284,12 @@ def _cached_z(protocol: Protocol, vm: float) -> float:
 
 
 def covariance_z(protocol: Protocol, vm: float) -> float:
-    """Alice-Bob correlation Z for the given protocol at variance vm.
-
-    Both arguments are checked and coerced before the cache of the last 128
-    values is looked up, so equal keys of other types ("gaussian", a numpy
-    float) return one float, and True is rejected, not served as 1.0.
-    """
+    """Alice-Bob correlation Z for the given protocol at variance vm."""
     protocol = member("protocol", protocol, Protocol)
     vm = real_number("vm", vm)
     if not 0 <= vm < math.inf:
         raise InvalidParameterError(f"modulation variance must be finite and nonnegative, got {vm}")
-    return _cached_z(protocol, vm)
+    return _covariance_z(protocol, vm)
 
 
 def symplectic_eigenvalues(params: KeyRateParams, z: float) -> tuple[float, float, float, float, float]:
@@ -375,7 +343,7 @@ def holevo_chi_be(params: KeyRateParams) -> tuple[float, float, tuple[float, ...
 
 
 def _holevo_chi_be(params: KeyRateParams) -> tuple[float, float, tuple[float, ...]]:
-    z = _cached_z(params.protocol, params.vm)
+    z = _covariance_z(params.protocol, params.vm)
     try:
         lams = symplectic_eigenvalues(params, z)
     except OverflowError:  # a power of a covariance term past the float range
@@ -412,13 +380,7 @@ def _rate(params: KeyRateParams, finite: bool) -> RateResult:
     else:
         eve, gain = _holevo_chi_be(params)[0], params.beta * i_ab
     key = gain - eve if d is None else params.n / params.big_n * (gain - eve - d)
-    if not math.isfinite(key):  # the constructor raises the NumericalDomainError
-        return RateResult(params.protocol, key, i_ab, eve, delta_n=d)
-    # a finite key passes __post_init__, so the result is built as KeyRateParams.at builds a point
-    result = object.__new__(RateResult)
-    object.__setattr__(result, "__dict__", {"protocol": params.protocol, "key_rate": key,
-                                            "mutual_information": i_ab, "holevo_term": eve, "delta_n": d})
-    return result
+    return RateResult(params.protocol, key, i_ab, eve, delta_n=d)
 
 
 def rate_asymptotic(params: KeyRateParams) -> RateResult:
@@ -474,14 +436,14 @@ def _eig_pairs(s: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 
 def _holevo_chi_be_array(params: KeyRateParams, vms, v, t, chi_line, chi_tot) -> tuple[np.ndarray, np.ndarray]:
     """holevo_chi_be's chi at each point, and where symplectic_eigenvalues raises."""
-    vm_list, z_of = vms.tolist(), {}
-    for vm in vm_list:  # covariance_z once per distinct V_m
-        if vm not in z_of:
-            try:
-                z_of[vm] = _cached_z(params.protocol, vm)
-            except NumericalDomainError:  # a NaN Z fails the point, and the scalar rate raises this error again
-                z_of[vm] = math.nan
-    z = np.array([z_of[vm] for vm in vm_list])
+    distinct, inverse = np.unique(vms, return_inverse=True)
+    z = np.empty(len(distinct))
+    for i, vm in enumerate(distinct.tolist()):  # covariance_z once per distinct V_m
+        try:
+            z[i] = _covariance_z(params.protocol, vm)
+        except NumericalDomainError:  # a NaN Z fails the point, and the scalar rate raises this error again
+            z[i] = math.nan
+    z = z[inverse]
     chi_het = params.chi_het
     # symplectic_eigenvalues, term by term in its order of operations
     a = v * v + t * t * _squared(v + chi_line) - 2.0 * t * z * z
@@ -499,8 +461,9 @@ def _holevo_chi_be_array(params: KeyRateParams, vms, v, t, chi_line, chi_tot) ->
     return np.where(chi < 0.0, 0.0, chi), failed | failed34
 
 
-def _key_rates_unchecked(params: KeyRateParams, vms, t, d) -> tuple[np.ndarray, np.ndarray]:
-    """_rate's key at each point, and where _rate raises; d is Delta(n) or None."""
+def _key_rates_unchecked(params: KeyRateParams, vms, t, d) -> tuple:
+    """_rate's key, I_AB and eavesdropper term (an array, or ml_eve_term) at
+    each point, and where _rate raises; d is Delta(n) or None."""
     v = vms + 1.0
     chi_line = 1.0 / t - 1.0 + params.excess_noise
     chi_tot = chi_line + params.chi_het / t
@@ -511,15 +474,15 @@ def _key_rates_unchecked(params: KeyRateParams, vms, t, d) -> tuple[np.ndarray, 
         eve, failed = _holevo_chi_be_array(params, vms, v, t, chi_line, chi_tot)
         gain = params.beta * i_ab
     key = gain - eve if d is None else params.n / params.big_n * (gain - eve - d)
-    return key, failed | ~np.isfinite(key)
+    return key, i_ab, eve, failed | ~np.isfinite(key)
 
 
 def key_rates(params: KeyRateParams, vms, transmittances) -> np.ndarray:
     """Key rate of params.protocol at each (vms[i], transmittances[i]).
 
     The rate is rate_finite's when params carries n and big_n, else
-    rate_asymptotic's, and each element equals, bit for bit,
-    rate_of(params.at(vm=vms[i], transmittance=transmittances[i])).key_rate:
+    rate_asymptotic's, and each element equals, bit for bit, its key_rate
+    at dataclasses.replace(params, vm=vms[i], transmittance=transmittances[i]):
     the arithmetic and square roots are numpy's, which round as Python
     floats do, but each log2 and each ``** 2`` is Python's, one element at
     a time. The other fields of params apply to every point. Points are
@@ -527,6 +490,12 @@ def key_rates(params: KeyRateParams, vms, transmittances) -> np.ndarray:
     fails a check or its key is not finite, the scalar rate at that point
     raises its typed error.
     """
+    return _rate_columns(params, vms, transmittances)[0]
+
+
+def _rate_columns(params: KeyRateParams, vms, transmittances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """key_rates, with the mutual_information and holevo_term columns of the
+    same RateResults, which a keyrate table writes."""
     instance("params", params, KeyRateParams)
     vms = array("vms", vms, (None,))
     t = array("transmittances", transmittances, vms.shape)
@@ -536,18 +505,18 @@ def key_rates(params: KeyRateParams, vms, transmittances) -> np.ndarray:
             check(float(values[np.argmin(valid)]))
     rate_of = rate_asymptotic if params.n is None else rate_finite
     d = None if params.n is None else _delta_n(params)
-    keys = np.empty(len(vms))
+    keys, i_ab, eve = np.empty(len(vms)), np.empty(len(vms)), np.empty(len(vms))
     for start in range(0, len(vms), _KERNEL_POINTS):
-        chunk_vms, chunk_t = vms[start:start + _KERNEL_POINTS], t[start:start + _KERNEL_POINTS]
+        chunk = slice(start, start + _KERNEL_POINTS)
         with np.errstate(all="ignore"):
             try:
-                key, failed = _key_rates_unchecked(params, chunk_vms, chunk_t, d)
+                keys[chunk], i_ab[chunk], eve[chunk], failed = _key_rates_unchecked(params, vms[chunk], t[chunk], d)
             except OverflowError:  # a Python ** 2 past the float range; the scalar rate finds the point
-                key, failed = np.empty(len(chunk_vms)), np.ones(len(chunk_vms), dtype=bool)
-        for i in np.flatnonzero(failed):  # in evaluation order, so the first failing point raises
-            key[i] = rate_of(params.at(vm=float(chunk_vms[i]), transmittance=float(chunk_t[i]))).key_rate
-        keys[start:start + len(key)] = key
-    return keys
+                failed = np.ones(len(vms[chunk]), dtype=bool)
+        for i in start + np.flatnonzero(failed):  # in evaluation order, so the first failing point raises
+            result = rate_of(dataclasses.replace(params, vm=float(vms[i]), transmittance=float(t[i])))
+            keys[i], i_ab[i], eve[i] = result.key_rate, result.mutual_information, result.holevo_term
+    return keys, i_ab, eve
 
 
 @dataclass(frozen=True)
@@ -574,8 +543,7 @@ def optimize_vm(distances_km, params: KeyRateParams, v_lo: float = 0.05,
     within 0.01, or after _GOLDEN_STEPS steps: where adjacent floats are
     more than 0.01 apart the ends stop moving, and each step keeps 0.618
     of the bracket, so by then any bracket has shrunk to its float
-    resolution. The reported rate is one rate_asymptotic or rate_finite
-    call a distance, at the optimum.
+    resolution. The rates at the optima are one more key_rates call.
     """
     instance("params", params, KeyRateParams)
     try:
@@ -588,7 +556,6 @@ def optimize_vm(distances_km, params: KeyRateParams, v_lo: float = 0.05,
     v_lo, v_hi = real_number("v_lo", v_lo), real_number("v_hi", v_hi)
     if not (math.isfinite(v_lo) and math.isfinite(v_hi) and 0 < v_lo < v_hi):
         raise InvalidParameterError(f"need finite 0 < v_lo < v_hi, got [{v_lo}, {v_hi}]")
-    rate_of = rate_asymptotic if params.n is None else rate_finite
     if not distances_km:
         return []
     t = np.array([transmittance_from_distance(distance) for distance in distances_km])
@@ -616,13 +583,6 @@ def optimize_vm(distances_km, params: KeyRateParams, v_lo: float = 0.05,
         f = key_rates(params, np.where(left, c[active], d[active]), t[active])
         fc[lo], fd[hi] = f[left], f[~left]
 
-    results = []
-    for distance, transmittance, vm_opt in zip(distances_km, t.tolist(), ((a + b) / 2.0).tolist()):
-        key = rate_of(params.at(vm=vm_opt, transmittance=transmittance)).key_rate
-        results.append(OptimalVariance(
-            distance_km=float(distance),
-            vm=vm_opt,
-            key_rate=float(key),
-            no_positive_rate=bool(key <= 0.0),
-        ))
-    return results
+    vm_opt = (a + b) / 2.0
+    return [OptimalVariance(distance_km=float(distance), vm=vm, key_rate=key, no_positive_rate=key <= 0.0)
+            for distance, vm, key in zip(distances_km, vm_opt.tolist(), key_rates(params, vm_opt, t).tolist())]

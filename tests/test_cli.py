@@ -593,6 +593,18 @@ class TestKeyrate:
         assert f"distance and loss must be finite, got {distance} km at 0.2 dB/km" in capsys.readouterr().err
         assert not (tmp_path / "run" / "keyrate.csv").exists()
 
+    @pytest.mark.parametrize("distances, code, message", [
+        ([0.0, 10.0, -1.0], 3, "key rate is not finite"),
+        ([-1.0, 10.0], 2, "distance and loss must be nonnegative, got -1.0 km at 0.2 dB/km"),
+    ])
+    def test_rows_before_a_bad_distance_are_rated_first(self, tmp_path, capsys, distances, code, message):
+        # the table is one kernel call, but its errors come in row order, as the per-row loop raised them
+        override = {"keyrate": {"eta": 5e-324, "distances_km": distances}}
+        path = write_config(tmp_path, override)
+        assert main(["--config", path, "--out", str(tmp_path / "run"), "keyrate"]) == code
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run" / "keyrate.csv").exists()
+
     @pytest.mark.parametrize("command", ["keyrate", "optimize"])
     def test_distance_with_no_transmittance_is_a_config_error(self, tmp_path, capsys, command):
         # 20 000 km once gave T = 0.0, and the error named the transmittance

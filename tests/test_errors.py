@@ -297,7 +297,6 @@ CLASS_CALLS = {
     "EncodingRule": (EncodingRule, {"rule_id": "r", "mapping": {1: "0", 2: "10"}}),
     "EvaluationReport": (EvaluationReport, field_values(evaluate(**CASES["evaluate"][1]))),
     "KeyRateParams": (KeyRateParams, field_values(FINITE)),
-    "KeyRateParams.at": (FINITE.at, {"vm": 2.0, "transmittance": 0.3}),
     "ModulationScheme": (ModulationScheme, {"kind": "8psk", "modulation_variance": 2.0}),
     "ModulationScheme.decode": (SCHEME.decode, {"flags": FLAGS}),
     "QmlcParams": (QmlcParams, {"k": 3, "s": 1.0, "t": 1.0}),

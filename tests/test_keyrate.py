@@ -92,6 +92,9 @@ FLOAT_FIELDS = ("vm", "transmittance", "excess_noise", "eta", "v_el", "beta", "l
                 "ml_eve_term")
 
 
+DERIVED = ("v", "chi_line", "chi_het", "chi_tot")  # the channel terms KeyRateParams computes
+
+
 def params_20km(**kw):
     defaults = dict(vm=0.35, excess_noise=0.01, eta=0.6, v_el=0.05, beta=0.98)
     defaults.update(kw)
@@ -128,6 +131,13 @@ class TestEntropyG:
 
 
 class TestNoiseDecomposition:
+    def test_derived_terms_are_not_fields(self):
+        p = params_20km()
+        assert not set(DERIVED) & set(dataclasses.asdict(p))
+        assert all(f"{name}=" not in repr(p) for name in DERIVED)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.chi_tot = 0.0
+
     def test_detector_term(self):
         p = params_20km()
         assert p.chi_het == pytest.approx((2 - 0.6 + 2 * 0.05) / 0.6)
@@ -339,23 +349,14 @@ class TestCorrelationZ:
 
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_equal_keys_give_one_float(self, protocol):
-        keyrate._cached_z.cache_clear()
         first = covariance_z(protocol.value, np.float64(0.7))
         for key in ((protocol, 0.7), (protocol.value, 0.7), (protocol, np.float64(0.7))):
             z = covariance_z(*key)
             assert type(z) is float and z == first
-        # True equals a cached 1.0, but the typed cache still sends it to the check
+        # True equals 1.0, but it is not a real number
         covariance_z(protocol, 1.0)
         with pytest.raises(InvalidParameterError, match="vm must be a real number"):
             covariance_z(protocol, True)
-
-    @pytest.mark.parametrize("protocol", list(Protocol))
-    @pytest.mark.parametrize("vm", [0.0, 1e-3, 0.35, 1.0, 2.0, 50.0, 1400.0])
-    def test_cached_z_is_the_computed_z(self, protocol, vm):
-        keyrate._cached_z.cache_clear()
-        want = keyrate._cached_z.__wrapped__(protocol, vm)
-        covariance_z(protocol, vm)  # fills the cache
-        assert covariance_z(protocol, vm).hex() == want.hex()
 
     @pytest.mark.parametrize("protocol", [Protocol.FOUR_STATE, Protocol.EIGHT_STATE])
     def test_weight_overflow_is_a_numerical_domain_error(self, protocol):
@@ -642,7 +643,7 @@ class TestOptimizeVm:
                                 env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
         assert result.returncode == 0, result.stderr
         # kernel points: the coarse grid, the first two golden-section points and one per capped step; then
-        # one public rate at the optimum
+        # one more at the optimum
         assert result.stdout.split() == [str(32 + 2 + keyrate._GOLDEN_STEPS + 1), "True", "True"]
 
 
@@ -650,7 +651,7 @@ FINITE_BLOCK = {"n": 500_000, "big_n": 1_000_000}
 
 
 class TestZOncePerVm:
-    """Z is computed once per (protocol, V_m) and then read from the cache; that changes no bit of a rate."""
+    """key_rates computes Z once per distinct V_m of a call; that changes no bit of a rate."""
 
     @pytest.mark.parametrize("finite", [False, True])
     @pytest.mark.parametrize("protocol", list(Protocol))
@@ -658,39 +659,9 @@ class TestZOncePerVm:
         params = KeyRateParams(vm=1.0, transmittance=0.5, protocol=protocol, **(FINITE_BLOCK if finite else {}))
         distances = range(0, 151)
         got = optimize_vm(distances, params)
-        keyrate._cached_z.cache_clear()
         assert got == per_point_optimize_vm(protocol, distances, params, finite=finite)
         if finite:  # the finite-size rows cross the positivity edge inside 150 km
             assert {r.no_positive_rate for r in got} == {False, True}
-
-    @given(
-        protocol=st.sampled_from(list(Protocol)),
-        vm=st.floats(min_value=1e-3, max_value=100.0),
-        transmittance=st.floats(min_value=1e-5, max_value=1.0),
-        excess_noise=st.floats(min_value=0.0, max_value=0.3),
-        eta=st.floats(min_value=0.05, max_value=1.0),
-        v_el=st.floats(min_value=0.0, max_value=0.5),
-        block=st.one_of(st.none(), st.integers(min_value=1, max_value=10**9)),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_warm_cache_changes_no_bit(self, protocol, vm, transmittance, excess_noise, eta, v_el, block):
-        finite = {} if block is None else {"n": max(block // 2, 1), "big_n": block}
-        p = KeyRateParams(vm=vm, transmittance=transmittance, excess_noise=excess_noise, eta=eta,
-                          v_el=v_el, protocol=protocol, **finite)
-        rate_of = rate_asymptotic if block is None else rate_finite
-
-        def outcome():
-            try:
-                return rate_of(p)
-            except NumericalDomainError as exc:
-                return type(exc), str(exc), exc.values
-
-        keyrate._cached_z.cache_clear()
-        cold = repr(outcome())  # repr tells every float bit apart, -0.0 from 0.0 included
-        assert repr(outcome()) == cold
-
-
-DERIVED = ("v", "chi_line", "chi_het", "chi_tot")
 
 
 @st.composite
@@ -711,69 +682,12 @@ def rate_points(draw):
     )
 
 
-def state(p: KeyRateParams) -> str:
-    """Every field and channel term of p; repr tells every float bit apart."""
-    return repr(dataclasses.astuple(p) + tuple(getattr(p, name) for name in DERIVED))
-
-
-def rate_outcome(p: KeyRateParams) -> str:
-    try:
-        return repr(rate_asymptotic(p) if p.n is None else rate_finite(p))
-    except NumericalDomainError as exc:
-        return repr((type(exc), str(exc), exc.values))
-
-
-class TestAtCopies:
-    """params.at(...) is dataclasses.replace(params, ...) with only the replaced fields checked again."""
-
-    @given(p=rate_points(),
-           vm=st.one_of(st.floats(min_value=1e-3, max_value=100.0), st.integers(min_value=1, max_value=100)),
-           transmittance=st.floats(min_value=1e-5, max_value=1.0))
-    @settings(max_examples=300, deadline=None)
-    def test_copy_equals_replace(self, p, vm, transmittance):
-        for change in ({"vm": vm}, {"transmittance": transmittance}, {"vm": vm, "transmittance": transmittance}):
-            got, want = p.at(**change), dataclasses.replace(p, **change)
-            assert got == want and state(got) == state(want)
-            assert rate_outcome(got) == rate_outcome(want)
-        assert state(p.at()) == state(p)
-
-    def test_derived_terms_are_not_fields(self):
-        p = params_20km()
-        assert not set(DERIVED) & set(dataclasses.asdict(p))
-        assert all(f"{name}=" not in repr(p) for name in DERIVED)
-        assert p.at(vm=0.5) == dataclasses.replace(p, vm=0.5) != p
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            p.chi_tot = 0.0
-
-    @pytest.mark.parametrize("field, value", [
-        *[(field, value) for field in ("vm", "transmittance")
-          for value in (0.0, -1.0, math.nan, math.inf, -math.inf, True, "1", np.float64(-1.0))],
-        ("transmittance", 1.5), ("transmittance", 1.0 + 1e-15),
-    ])
-    def test_bad_value_raises_the_constructor_error(self, field, value):
-        p = KeyRateParams(vm=1.0, transmittance=0.5, **FINITE_BLOCK)
-        with pytest.raises(InvalidParameterError) as want:
-            dataclasses.replace(p, **{field: value})
-        with pytest.raises(InvalidParameterError) as got:
-            p.at(**{field: value})
-        assert str(got.value) == str(want.value)
-
-    def test_copy_leaves_the_original(self):
-        p = params_20km()
-        before = state(p)
-        p.at(vm=5.0, transmittance=0.1)
-        assert state(p) == before
-
-
 class TestRateCallCounts:
-    """Every rate point of a table is one call of the public rate_asymptotic
-    or rate_finite; optimize_vm evaluates its search points with key_rates
-    and makes one public call a distance, at the optimum.
-
-    The totals were measured when every optimize_vm point was a public
-    call, and the benchmark's tracer times a key-rate layer through the
-    public calls.
-    """
+    """Tables and curves come from the array kernel alone: a keyrate table is
+    one kernel evaluation, optimize_vm reads its search points and its
+    optima from key_rates, and neither makes a public rate_asymptotic or
+    rate_finite call. The kernel points are those of the earlier scalar
+    loops, one a table row and one a search point."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -782,30 +696,32 @@ class TestRateCallCounts:
             def counted(params, _rate=getattr(keyrate, name), _name=name):
                 counts[_name] += 1
                 return _rate(params)
-            for module in (keyrate, cli):
-                monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(keyrate, name, counted)
 
-        def counted_points(params, vms, transmittances, _rates=keyrate.key_rates):
-            counts["kernel_points"] += len(vms)
-            return _rates(params, vms, transmittances)
+        def counted_points(_rates):
+            def rates(params, vms, transmittances):
+                counts["kernel_points"] += len(vms)
+                return _rates(params, vms, transmittances)
+            return rates
 
-        monkeypatch.setattr(keyrate, "key_rates", counted_points)
+        monkeypatch.setattr(keyrate, "key_rates", counted_points(keyrate.key_rates))
+        monkeypatch.setattr(cli, "_rate_columns", counted_points(cli._rate_columns))
         return counts
 
     def test_asymptotic_optimize(self, calls):
         optimize_vm([10.0, 80.0], KeyRateParams(vm=1.0, transmittance=0.5, protocol="four-state"))
-        assert calls == {"kernel_points": 83 - 2, "rate_asymptotic": 2}
+        assert calls == {"kernel_points": 83}
 
     def test_finite_optimize(self, calls):
         optimize_vm([10.0, 80.0], KeyRateParams(vm=1.0, transmittance=0.5, protocol="eight-state",
                                                 n=500_000, big_n=1_000_000))
-        assert calls == {"kernel_points": 86 - 2, "rate_finite": 2}
+        assert calls == {"kernel_points": 86}
 
     def test_keyrate_command(self, calls, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"keyrate": {"distances_km": list(range(151))}}))
         assert cli.main(["--config", str(config), "--out", str(tmp_path), "keyrate"]) == 0
-        assert calls == {"rate_asymptotic": 151}
+        assert calls == {"kernel_points": 151}
 
 
 KERNEL_DISTANCES = (0.0, 1.0, 5.0, 10.0, 20.0, 50.0, 80.0, 100.0, 150.0, 200.0, 300.0, 500.0, 1000.0, 1500.0)
@@ -815,7 +731,8 @@ def scalar_outcome(params: KeyRateParams, vms, transmittances):
     """The public rate at each point in turn: the keys, or the error of the first point that raises."""
     rate_of = rate_asymptotic if params.n is None else rate_finite
     try:
-        return [rate_of(params.at(vm=vm, transmittance=t)).key_rate for vm, t in zip(vms, transmittances)]
+        return [rate_of(dataclasses.replace(params, vm=vm, transmittance=t)).key_rate
+                for vm, t in zip(vms, transmittances)]
     except NumericalDomainError as exc:
         return type(exc), str(exc), exc.values
 
@@ -971,35 +888,6 @@ class TestOneRateBody:
         for rate, separate in RATE_BODIES.values():
             got, want = rate_or_error(rate, p), rate_or_error(separate, p)
             assert got == want and repr(got) == repr(want)
-
-
-class TestRateResultWithoutTheConstructor:
-    """_rate builds a finite result from its field dict, without RateResult's
-    constructor; it must be the object the constructor builds, and a
-    non-finite key must still raise the constructor's error."""
-
-    @pytest.mark.parametrize("finite", [False, True])
-    @pytest.mark.parametrize("protocol", list(Protocol))
-    def test_equals_the_constructed_result(self, protocol, finite):
-        # the separate bodies build every result through RateResult(...)
-        rate, separate = RATE_BODIES[finite]
-        checked = 0
-        for vm, t, xi, eve in itertools.product((0.05, 0.35, 5.0, 50.0), (1.0, 0.5, 0.01, 1e-5),
-                                                (0.0, 0.01, 0.2), (0.0, 0.03)):
-            p = KeyRateParams(vm=vm, transmittance=t, excess_noise=xi, ml_eve_term=eve, protocol=protocol,
-                              **(FINITE_BLOCK if finite else {}))
-            got, want = rate_or_error(rate, p), rate_or_error(separate, p)
-            if type(want) is tuple:
-                assert got == want, p
-                continue
-            assert type(got) is type(want) is keyrate.RateResult
-            assert list(vars(got).items()) == list(vars(want).items()), p  # every field in order, nothing else
-            assert [type(v) for v in vars(got).values()] == [type(v) for v in vars(want).values()]
-            assert got == want and hash(got) == hash(want) and repr(got) == repr(want), p
-            checked += 1
-        assert checked
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            got.key_rate = 0.0
 
     @pytest.mark.parametrize("finite", [False, True])
     @pytest.mark.parametrize("protocol", list(Protocol))
