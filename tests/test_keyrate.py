@@ -663,6 +663,34 @@ class TestZOncePerVm:
         if finite:  # the finite-size rows cross the positivity edge inside 150 km
             assert {r.no_positive_rate for r in got} == {False, True}
 
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    @pytest.mark.parametrize("vm", [1e-3, 0.35, 1.0, 2.0, 5.0, 50.0, 1400.0, 2000.0])
+    def test_repeated_vm_takes_one_z_and_gives_the_scalar_rate(self, protocol, vm, monkeypatch):
+        # the V_m repeats and interleaves with two others across two kernel chunks; above V_m of about
+        # 1420 the discrete weights overflow, and the scalar error of the first such point is raised
+        params = KeyRateParams(vm=1.0, transmittance=0.5, protocol=protocol)
+        vms = [vm, 0.5, vm, 3.0] * 150
+        ts = [transmittance_from_distance(d) for d in KERNEL_DISTANCES] * 43
+        ts = ts[:len(vms)]
+        calls = collections.Counter()
+
+        def counted_z(protocol, vm, _z=keyrate._covariance_z):
+            calls[vm] += 1
+            return _z(protocol, vm)
+
+        monkeypatch.setattr(keyrate, "_covariance_z", counted_z)
+        got = kernel_outcome(params, vms, ts)
+        monkeypatch.undo()
+        assert repr(got) == repr(scalar_outcome(params, vms, ts))
+        if type(got) is list:
+            chunks = [vms[i:i + keyrate._KERNEL_POINTS] for i in range(0, len(vms), keyrate._KERNEL_POINTS)]
+            assert len(chunks) == 2
+            want = collections.Counter(v for chunk in chunks for v in set(chunk))
+            assert calls == (collections.Counter() if protocol is Protocol.ML else want)
+        else:
+            assert protocol in (Protocol.FOUR_STATE, Protocol.EIGHT_STATE) and vm == 2000.0
+            assert got[1] == "constellation weights overflow (vm=2000.0)"
+
 
 @st.composite
 def rate_points(draw):
@@ -823,7 +851,24 @@ class TestKeyRateKernel:
         with pytest.raises(error, match=message):
             key_rates(KeyRateParams(vm=1.0, transmittance=0.5), vms, transmittances)
 
-    @pytest.mark.parametrize("rate", [rate_asymptotic, rate_finite, lambda p: key_rates(p, [1.0], [0.5])])
+    @pytest.mark.parametrize("field, value", [
+        *[(field, value) for field in ("vm", "transmittance")
+          for value in (0.0, -0.0, -1.0, -5e-324, math.nan, math.inf, -math.inf)],
+        ("vm", -1e308), ("transmittance", 1.5), ("transmittance", math.nextafter(1.0, 2.0)),
+        ("transmittance", 1e308),
+    ])
+    def test_the_first_bad_value_raises_the_constructor_error(self, field, value):
+        # a second bad value later in the same array must not be the one reported
+        p = KeyRateParams(vm=1.0, transmittance=0.5, **FINITE_BLOCK)
+        with pytest.raises(InvalidParameterError) as want:
+            dataclasses.replace(p, **{field: value})
+        points = {"vm": [1.0, 2.0, 3.0, 4.0], "transmittance": [0.5, 0.4, 0.3, 0.2]}
+        points[field][1], points[field][3] = value, -2.0
+        with pytest.raises(InvalidParameterError) as got:
+            key_rates(p, points["vm"], points["transmittance"])
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("rate",[rate_asymptotic, rate_finite, lambda p: key_rates(p, [1.0], [0.5])])
     def test_params_must_be_key_rate_params(self, rate):
         # None was once a raw AttributeError ('NoneType' object has no attribute 'n')
         with pytest.raises(InvalidParameterError, match="params must be a KeyRateParams, got None"):
@@ -850,6 +895,31 @@ class TestKeyRateKernel:
             with pytest.raises(NumericalDomainError) as got:
                 optimize_vm([10.0, 20.0], params, v_hi=v_hi)
         assert str(got.value) == str(want.value)
+
+
+class TestRateColumns:
+    """_rate_columns, which a keyrate table writes, gives the key_rate,
+    mutual_information and holevo_term of the public RateResult at each
+    point, bit for bit."""
+
+    @pytest.mark.parametrize("finite", [False, True])
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_columns_are_the_scalar_result_fields(self, protocol, finite):
+        params = KeyRateParams(vm=1.0, transmittance=0.5, protocol=protocol, ml_eve_term=0.03,
+                               **(FINITE_BLOCK if finite else {}))
+        grid = np.geomspace(0.05, 20.0, 41).tolist()  # 41 x 14 points: more than one kernel chunk
+        vms = grid * len(KERNEL_DISTANCES)
+        ts = [transmittance_from_distance(d) for d in KERNEL_DISTANCES for _ in grid]
+        assert len(vms) > keyrate._KERNEL_POINTS
+        columns = keyrate._rate_columns(params, vms, ts)
+        assert all(type(c) is np.ndarray and c.dtype == np.float64 and c.shape == (len(vms),) for c in columns)
+        rate_of = rate_finite if finite else rate_asymptotic
+        results = [rate_of(dataclasses.replace(params, vm=vm, transmittance=t)) for vm, t in zip(vms, ts)]
+        want = [[r.key_rate for r in results], [r.mutual_information for r in results],
+                [r.holevo_term for r in results]]
+        # repr tells every float bit apart, -0.0 from 0.0 included
+        assert repr([c.tolist() for c in columns]) == repr(want)
+        assert repr(columns[0].tolist()) == repr(key_rates(params, vms, ts).tolist())
 
 
 RATE_BODIES = {False: (rate_asymptotic, separate_rate_asymptotic), True: (rate_finite, separate_rate_finite)}
