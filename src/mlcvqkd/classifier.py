@@ -257,14 +257,12 @@ def _nearest_in_windows(queries, training, minus_twice_t, train_sq, gram_slack, 
 
     # the re-check: candidates stay in ascending index within a row, so a
     # stable sort of their direct distances breaks ties to the lower index
-    cols = window_rows[np.repeat(np.arange(g), n_queries)[rows], pos]
-    diff = queries[q[rows]] - training[cols]
     per_row = np.bincount(rows, minlength=len(q))
     slot = np.arange(len(rows)) - (np.cumsum(per_row) - per_row)[rows]
-    dist = np.full((len(q), max(k, per_row.max(initial=0))), np.inf)
-    dist[rows, slot] = np.sqrt(np.sum(diff * diff, axis=-1))
-    index = np.zeros(dist.shape, dtype=np.intp)
-    index[rows, slot] = cols
+    index = np.full((len(q), max(k, per_row.max(initial=0))), m, dtype=np.intp)  # m: no candidate
+    index[rows, slot] = window_rows[np.repeat(np.arange(g), n_queries)[rows], pos]
+    diff = queries[q][:, None, :] - np.take(training, index, axis=0, mode="clip")
+    dist = np.where(index < m, np.sqrt(np.sum(diff * diff, axis=-1)), np.inf)
     order = np.argsort(dist, axis=1, kind="stable")[:, :k]
     return q, np.take_along_axis(index, order, axis=1), np.take_along_axis(dist, order[:, -1:], axis=1)[:, 0]
 

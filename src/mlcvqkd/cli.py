@@ -18,7 +18,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical-domain error,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import inspect
@@ -195,12 +194,13 @@ def _session_config(config: dict) -> SessionConfig:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    """The header through csv.writer, each row through one format built from
-    the first row: %.17g for a float, %s otherwise. A column must hold one
-    type, and no string that csv.writer would quote (one with a comma, a
+    """The bytes csv.writer would write: the header joined by commas, each
+    row through one format built from the first row, %.17g for a float, %s
+    otherwise. A column must hold one type, and neither the header nor a
+    row may hold a string that csv.writer would quote (one with a comma, a
     quote or a line break, or an empty string alone on its row)."""
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
+        fh.write(",".join(header) + "\r\n")
         if rows:
             line = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0]) + "\r\n"
             fh.writelines(line % tuple(row) for row in rows)

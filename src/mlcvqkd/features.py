@@ -41,6 +41,13 @@ def extract_batch(points: np.ndarray, refs: np.ndarray) -> np.ndarray:
     return d
 
 
+def _threshold(value) -> float:
+    threshold = real_number("threshold", value)
+    if not threshold > 0:  # NaN fails too
+        raise InvalidParameterError(f"threshold must be positive, got {threshold}")
+    return threshold
+
+
 def resolve_threshold(features: np.ndarray, threshold: float | None = None, quantile: float | None = None) -> float:
     """Resolve a filtering threshold.
 
@@ -51,10 +58,7 @@ def resolve_threshold(features: np.ndarray, threshold: float | None = None, quan
     if (threshold is None) == (quantile is None):
         raise InvalidParameterError("give exactly one of threshold or quantile")
     if threshold is not None:
-        threshold = real_number("threshold", threshold)
-        if not threshold > 0:
-            raise InvalidParameterError(f"threshold must be positive, got {threshold}")
-        return threshold
+        return _threshold(threshold)
     quantile = real_number("quantile", quantile)
     if not 0 < quantile <= 1:
         raise InvalidParameterError(f"quantile must be in (0, 1], got {quantile}")
@@ -68,7 +72,8 @@ def resolve_threshold(features: np.ndarray, threshold: float | None = None, quan
 
 
 def filter_features(features: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """Split sample indices into (kept, discarded) under an absolute cap.
+    """Split sample indices into (kept, discarded) under an absolute cap,
+    which must be positive, as in resolve_threshold.
 
     A sample is discarded iff any feature entry exceeds the threshold.
     Returns the two index arrays, each preserving the input order, so
@@ -77,7 +82,7 @@ def filter_features(features: np.ndarray, threshold: float) -> tuple[np.ndarray,
     rate is a monitored statistic, since excessive filtering biases the
     classifier.
     """
-    threshold = real_number("threshold", threshold)
+    threshold = _threshold(threshold)
     features = array("features", features, (None, None))
     over = (features > threshold).any(axis=1)
     idx = np.arange(features.shape[0])

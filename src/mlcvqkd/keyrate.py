@@ -59,20 +59,6 @@ class Protocol(str, Enum):
     ML = "ml"
 
 
-def _checked_vm(value) -> float:
-    vm = real_number("vm", value)
-    if not 0 < vm < math.inf:
-        raise InvalidParameterError(f"modulation variance must be finite and positive, got {vm}")
-    return vm
-
-
-def _checked_transmittance(value) -> float:
-    t = real_number("transmittance", value)
-    if not 0 < t <= 1:
-        raise InvalidParameterError(f"transmittance must be in (0, 1], got {t}")
-    return t
-
-
 @dataclass(frozen=True)
 class KeyRateParams:
     """Every scalar entering the rate formulas.
@@ -127,8 +113,12 @@ class KeyRateParams:
 
     def __post_init__(self):
         object.__setattr__(self, "protocol", member("protocol", self.protocol, Protocol))
-        object.__setattr__(self, "vm", _checked_vm(self.vm))
-        object.__setattr__(self, "transmittance", _checked_transmittance(self.transmittance))
+        object.__setattr__(self, "vm", real_number("vm", self.vm))
+        if not 0 < self.vm < math.inf:
+            raise InvalidParameterError(f"modulation variance must be finite and positive, got {self.vm}")
+        object.__setattr__(self, "transmittance", real_number("transmittance", self.transmittance))
+        if not 0 < self.transmittance <= 1:
+            raise InvalidParameterError(f"transmittance must be in (0, 1], got {self.transmittance}")
         for name in ("excess_noise", "eta", "v_el", "beta", "lam", "eps_bar", "eps_pa", "ml_eve_term"):
             object.__setattr__(self, name, real_number(name, getattr(self, name)))
         if not (math.isfinite(self.excess_noise) and math.isfinite(self.v_el)) \
@@ -198,10 +188,6 @@ def entropy_g(x: float) -> float:
 def mutual_information(params: KeyRateParams) -> float:
     """Heterodyne Gaussian mutual information log2[(V+chi_tot)/(1+chi_tot)]."""
     instance("params", params, KeyRateParams)
-    return _mutual_information(params)
-
-
-def _mutual_information(params: KeyRateParams) -> float:
     chi_tot = params.chi_tot
     return math.log2((params.v + chi_tot) / (1.0 + chi_tot))
 
@@ -339,10 +325,6 @@ def _eig_pair(s: float, p: float, which: str) -> tuple[float, float]:
 def holevo_chi_be(params: KeyRateParams) -> tuple[float, float, tuple[float, ...]]:
     """Holevo bound chi_BE, never below 0; returns (chi, z, lambdas)."""
     instance("params", params, KeyRateParams)
-    return _holevo_chi_be(params)
-
-
-def _holevo_chi_be(params: KeyRateParams) -> tuple[float, float, tuple[float, ...]]:
     z = _covariance_z(params.protocol, params.vm)
     try:
         lams = symplectic_eigenvalues(params, z)
@@ -359,10 +341,6 @@ def _holevo_chi_be(params: KeyRateParams) -> tuple[float, float, tuple[float, ..
 def delta_n(params: KeyRateParams) -> float:
     """Finite-size privacy-amplification penalty Delta(n)."""
     instance("params", params, KeyRateParams)
-    return _delta_n(params)
-
-
-def _delta_n(params: KeyRateParams) -> float:
     if params.n is None:
         raise InvalidParameterError("finite-size rate needs n and big_n")
     n = params.n
@@ -370,15 +348,13 @@ def _delta_n(params: KeyRateParams) -> float:
 
 
 def _rate(params: KeyRateParams, finite: bool) -> RateResult:
-    """The one body of rate_asymptotic and rate_finite; its one check of
-    params covers the unchecked terms it calls."""
-    instance("params", params, KeyRateParams)
-    d = _delta_n(params) if finite else None
-    i_ab = _mutual_information(params)
+    """The one body of rate_asymptotic and rate_finite."""
+    d = delta_n(params) if finite else None
+    i_ab = mutual_information(params)
     if params.protocol is Protocol.ML:
         eve, gain = params.ml_eve_term, params.beta * params.lam * i_ab
     else:
-        eve, gain = _holevo_chi_be(params)[0], params.beta * i_ab
+        eve, gain = holevo_chi_be(params)[0], params.beta * i_ab
     key = gain - eve if d is None else params.n / params.big_n * (gain - eve - d)
     return RateResult(params.protocol, key, i_ab, eve, delta_n=d)
 
@@ -499,12 +475,12 @@ def _rate_columns(params: KeyRateParams, vms, transmittances) -> tuple[np.ndarra
     instance("params", params, KeyRateParams)
     vms = array("vms", vms, (None,))
     t = array("transmittances", transmittances, vms.shape)
-    for check, values, valid in ((_checked_vm, vms, (vms > 0) & (vms < math.inf)),
-                                 (_checked_transmittance, t, (t > 0) & (t <= 1))):
-        if not valid.all():  # the scalar check raises its error for the first invalid element
-            check(float(values[np.argmin(valid)]))
+    for name, values, valid in (("vm", vms, (vms > 0) & (vms < math.inf)),
+                                ("transmittance", t, (t > 0) & (t <= 1))):
+        if not valid.all():  # the constructor raises its error for the first invalid element
+            dataclasses.replace(params, **{name: float(values[np.argmin(valid)])})
     rate_of = rate_asymptotic if params.n is None else rate_finite
-    d = None if params.n is None else _delta_n(params)
+    d = None if params.n is None else delta_n(params)
     keys, i_ab, eve = np.empty(len(vms)), np.empty(len(vms)), np.empty(len(vms))
     for start in range(0, len(vms), _KERNEL_POINTS):
         chunk = slice(start, start + _KERNEL_POINTS)

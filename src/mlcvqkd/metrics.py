@@ -73,10 +73,12 @@ def average_precision(scores: np.ndarray, true_flags: np.ndarray) -> float:
     ranked at or above y that are themselves true, averaged over the
     sample's labels, then over samples with at least one true label.
     Sums run in a fixed order: a sample's terms by ascending rank, then
-    the samples in row order.
+    the samples in row order. A NaN score is an InvalidInputError.
     """
     true = array("truths", true_flags, (None, None), bool)
     scores = array("scores", scores, true.shape)
+    if np.isnan(scores).any():  # a NaN has no rank
+        raise InvalidInputError("scores must not be NaN")
 
     n_true = true.sum(axis=1)
     scored = n_true > 0
@@ -113,9 +115,12 @@ def roc_curve(scores: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, float]
     positives-above-negatives statistic with ties half-weighted.
 
     Returns (points, auc) where points has rows (fpr, tpr); auc is nan
-    when the label has no positive or no negative samples.
+    when the label has no positive or no negative samples. A NaN score is
+    an InvalidInputError.
     """
     scores = array("scores", scores, (None,))
+    if np.isnan(scores).any():  # a NaN has no rank
+        raise InvalidInputError("scores must not be NaN")
     truth = array("truth", truth, scores.shape, bool)
     n_pos = int(truth.sum())
     n_neg = int((~truth).sum())

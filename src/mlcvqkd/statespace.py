@@ -10,7 +10,8 @@ gives each state its own bit string; the strings may differ in length.
 
 A scheme's decode table maps a flag row, read as the binary number
 flags @ (1, 2, 4, 8), to the index of the state carrying exactly those
-labels, or to 0 for an erasure.
+labels, or to 0 for an erasure; decode takes (n, 4) flags only, and a
+single row is a (1, 4) array.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParameterError, array, instance, member, real_number
+from .errors import InvalidParameterError, array, instance, member, real_number
 
 N_LABELS = 4
 _FLAG_WEIGHTS = 1 << np.arange(N_LABELS)  # (1, 2, 4, 8)
@@ -87,18 +88,14 @@ class ModulationScheme:
         return len(self.points)
 
     def decode(self, flags: np.ndarray) -> np.ndarray:
-        """State index of each (n, 4) flag row, 0 where no state carries it;
-        a single (4,) row gives a single index.
+        """State index of each (n, 4) flag row, 0 where no state carries it.
 
         A single label decodes to the interior state of that quadrant and
         an adjacent pair to the shared axis state (8PSK). Every other set
         (empty, non-adjacent pair, three or more labels, any pair for
         QPSK) is an erasure.
         """
-        try:
-            flags = array("flags", flags, (N_LABELS,), bool)
-        except InvalidInputError:  # not a single row; the last check's error names the (n, 4) shape
-            flags = array("flags", flags, (None, N_LABELS), bool)
+        flags = array("flags", flags, (None, N_LABELS), bool)
         return self._decode_table[flags @ _FLAG_WEIGHTS]
 
 

@@ -162,6 +162,11 @@ FORMER_ESCAPES = {
     "roc_curve lengths": lambda: roc_curve(np.ones(3), np.ones(2)),
     "roc_curve 2-d": lambda: roc_curve(np.ones((2, 2)), np.ones((2, 2))),
     "average_precision str": lambda: average_precision("ab", FLAGS),
+    # a NaN score once ranked as if it were a number
+    "roc_curve NaN score": lambda: roc_curve([0.5, math.nan, 0.2], [True, False, True]),
+    "average_precision NaN score": lambda: average_precision([[math.nan, 1.0]], [[True, False]]),
+    "evaluate NaN score": lambda: evaluate([[math.nan, 1.0], [0.5, 0.2]], [[True, False], [False, True]],
+                                           [[True, False], [False, True]], [False, False]),
     "extract_batch huge point": lambda: extract_batch([[1e200, 0.0]], SCHEME.points),
     "transmit_batch huge point": lambda: transmit_batch([[1.7e308, 1.7e308]], ChannelParams(10.0, phase_drift=0.7),
                                                         RandomSource(0)),

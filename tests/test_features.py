@@ -154,6 +154,12 @@ class TestThreshold:
             with pytest.raises(InvalidParameterError, match="threshold must be a real number"):
                 filter_features(np.ones((2, 2)), value)
 
+    @pytest.mark.parametrize("value", [math.nan, -1.0, 0.0])
+    def test_filter_features_takes_resolve_threshold_s_rule(self, value):
+        # a NaN cap once kept every row, and -1.0 discarded every row
+        with pytest.raises(InvalidParameterError, match="threshold must be positive"):
+            filter_features(np.ones((2, 2)), value)
+
 
 class TestFilter:
     def test_discards_iff_any_entry_exceeds_cap(self):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlcvqkd.errors import InvalidParameterError
+from mlcvqkd.errors import InvalidInputError, InvalidParameterError
 from mlcvqkd.statespace import (
     NAMED_RULES,
     EncodingRule,
@@ -145,7 +145,9 @@ class TestDecodeTable:
     def test_empty_batch_and_single_row(self):
         scheme = build_scheme(ModulationKind.QPSK, 2.0)
         assert scheme.decode(np.zeros((0, 4), dtype=bool)).shape == (0,)
-        assert scheme.decode(np.array([0, 0, 1, 0], dtype=bool)) == 3
+        assert scheme.decode(np.array([[0, 0, 1, 0]], dtype=bool)).tolist() == [3]
+        with pytest.raises(InvalidInputError, match=r"flags must have shape \(any, 4\)"):
+            scheme.decode(np.array([0, 0, 1, 0], dtype=bool))  # one row is a (1, 4) array
 
 
 # the origin, the four half-axes and the four quadrant interiors
