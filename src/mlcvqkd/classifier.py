@@ -230,15 +230,51 @@ class _ProjectionGrid:
         return np.minimum(np.maximum(left, right).max(axis=1), self.shape.max()).astype(np.intp)
 
 
-def _nearest_in_windows(queries, training, minus_twice_t, train_sq, gram_slack, k, exclude_self,
+def _recheck(queries, training, candidates, counts, k):
+    """Each query's first k candidates by (direct distance, index), in
+    ascending index order, and the k-th of those distances, infinite for a
+    query with fewer than k candidates.
+
+    candidates holds the queries' candidate training rows one query after
+    another, counts[i] of them for query i, each query's in ascending
+    order. They are laid out in one padded (queries x candidates) index, m
+    marking no candidate, so a stable sort of their direct distances
+    breaks ties to the lower index.
+    """
+    m = training.shape[0]
+    slot = np.arange(len(candidates)) - np.repeat(np.cumsum(counts) - counts, counts)
+    index = np.full((len(counts), max(k, counts.max())), m, dtype=np.intp)
+    index[np.repeat(np.arange(len(counts)), counts), slot] = candidates
+    diff = queries[:, None, :] - np.take(training, index, axis=0, mode="clip")
+    dist = np.where(index < m, np.sqrt(np.sum(diff * diff, axis=-1)), np.inf)
+    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    nearest = np.sort(np.take_along_axis(index, order, axis=1), axis=1)
+    return nearest, np.take_along_axis(dist, order[:, -1:], axis=1)[:, 0]
+
+
+def _nearest_in_windows(queries, training, minus_twice_t, train_sq, query_sq, gram_slack, k, exclude_self,
                         query_idx, n_queries, window_rows):
-    """The first k of each query within its window, and its k-th distance.
+    """The first k of each query within its window, as a set in ascending
+    index order, and a bound on its k-th distance.
 
     query_idx (g, most) holds each window's queries, the first n_queries of
     a row valid; window_rows (g, width) holds each window's training rows
     in ascending order, padded with m. Returns the valid queries, their
-    (n, k) neighbours and their k-th distances, infinite when a window
-    holds fewer than k rows.
+    (n, k) neighbours and their reaches: bounds on the direct k-th
+    distance, never below it, and infinite when a window holds fewer than
+    k rows.
+
+    A query with exactly k Gram candidates takes them as its answer: every
+    row that the direct formula ranks in the first k, or ties with its
+    k-th, is a candidate, so no other row can be. Its reach is
+    sqrt(kth + |q|^2 + gram_slack), kth being its k-th Gram value less
+    |q|^2. Each of the k candidates has a Gram value of at most kth, and
+    the two formulas' squared distances differ by at most half of
+    gram_slack, so the direct k-th squared distance is at most
+    kth + |q|^2 + gram_slack / 2. The other half covers the rounding of
+    the two sums, and a correctly rounded sqrt is monotone. The other
+    queries (a tie within the slack, or a window of fewer than k rows) go
+    through _recheck, whose reach is the direct k-th distance itself.
     """
     m = training.shape[0]
     g, most = query_idx.shape
@@ -251,31 +287,38 @@ def _nearest_in_windows(queries, training, minus_twice_t, train_sq, gram_slack, 
     valid = (np.arange(most) < n_queries[:, None]).ravel()
     gram = gram.reshape(g * most, -1)[valid]
     q = query_idx.ravel()[valid]
+    n = len(q)
     kth = np.partition(gram, k - 1, axis=1)[:, k - 1]
     bound = np.where(np.isfinite(kth), kth + gram_slack[q], -np.inf)
-    rows, pos = np.nonzero(gram <= bound[:, None])
+    # row-major, so each query's candidates come in the ascending order of its window's rows
+    rows, pos = np.divmod(np.flatnonzero(gram <= bound[:, None]), window_rows.shape[1])
+    candidates = window_rows[np.repeat(np.arange(g), n_queries)[rows], pos]
+    reach = np.sqrt(kth + query_sq[q] + gram_slack[q])
+    if len(rows) == n * k and (rows.reshape(n, k) == np.arange(n)[:, None]).all():
+        return q, candidates.reshape(n, k), reach
 
-    # the re-check: candidates stay in ascending index within a row, so a
-    # stable sort of their direct distances breaks ties to the lower index
-    per_row = np.bincount(rows, minlength=len(q))
-    slot = np.arange(len(rows)) - (np.cumsum(per_row) - per_row)[rows]
-    index = np.full((len(q), max(k, per_row.max(initial=0))), m, dtype=np.intp)  # m: no candidate
-    index[rows, slot] = window_rows[np.repeat(np.arange(g), n_queries)[rows], pos]
-    diff = queries[q][:, None, :] - np.take(training, index, axis=0, mode="clip")
-    dist = np.where(index < m, np.sqrt(np.sum(diff * diff, axis=-1)), np.inf)
-    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-    return q, np.take_along_axis(index, order, axis=1), np.take_along_axis(dist, order[:, -1:], axis=1)[:, 0]
+    counts = np.bincount(rows, minlength=n)
+    exact = counts == k
+    nearest = np.empty((n, k), dtype=np.intp)
+    nearest[exact] = candidates[exact[rows]].reshape(-1, k)
+    recheck = ~exact
+    nearest[recheck], reach[recheck] = _recheck(queries[q[recheck]], training, candidates[recheck[rows]],
+                                                counts[recheck], k)
+    return q, nearest, reach
 
 
 def _neighbor_indices(queries, training, k, exclude_self=False):
-    """Indices (n, k) of each query's k nearest training rows, nearest first.
+    """Indices (n, k) of each query's k nearest training rows, as a set:
+    each row in ascending index order.
 
-    Exact contract: the result equals a stable argsort of every query's
-    row of distances sqrt(sum((q - t)**2)), evaluated with exactly that
-    expression, cut to its first k entries. Equal distances therefore go
-    to the lower training index. With exclude_self, query row i is
-    assumed to be training row i and is skipped. k must be smaller than
-    the number of training rows, and every feature must be finite.
+    Exact contract: each row holds the first k entries of a stable argsort
+    of the query's distances sqrt(sum((q - t)**2)), evaluated with exactly
+    that expression, sorted by index. Equal distances at the k-th
+    therefore go to the lower training index. The order of the neighbours
+    is not kept, since the callers (train, posterior_ratios) only count
+    label carriers among them. With exclude_self, query row i is assumed
+    to be training row i and is skipped. k must be smaller than the number
+    of training rows, and every feature must be finite.
 
     The search looks only at the training rows that project near a query.
     The rows are bucketed on a square grid over their projection onto the
@@ -285,29 +328,32 @@ def _neighbor_indices(queries, training, k, exclude_self=False):
     a row whose projection lies farther from the query's than the query's
     k-th distance cannot rank in its first k. Each query is first searched
     among the rows of the 3 x 3 cells around its own. It is accepted when
-    its k-th distance there, plus a rounding bound on the projection, is
+    its reach there, a bound never below its k-th distance (see
+    _nearest_in_windows), plus a rounding bound on the projection, is
     below the projected distance to the nearest cell outside that window:
     then every row outside is strictly farther than the k-th, ties
     included. Otherwise it is searched again in a window wide enough for
-    that k-th distance. A window covering the whole grid is always
-    accepted; it is the search over every row. Queries with the same
-    window are searched together, in batches of windows whose arrays (the
-    Gram block and its copies, the exclude-self mask, the gathered rows)
-    stay within _NEIGHBOR_BLOCK_BYTES, 2 MB, unless the batch is a single
-    window: a window is never split.
+    that reach. A window covering the whole grid is always accepted; it is
+    the search over every row. Queries with the same window are searched
+    together, in batches of windows whose arrays (the Gram block and its
+    copies, the exclude-self mask, the gathered rows) stay within
+    _NEIGHBOR_BLOCK_BYTES, 2 MB, unless the batch is a single window: a
+    window is never split.
 
     Within a window the search runs in two stages. The Gram expansion
     |q|^2 + |t|^2 - 2 q.t gives every squared distance with one matrix
     product, but its rounding differs from the direct formula, so by
-    itself it could swap near-equal neighbours or break a tie the other
-    way. It only selects candidates: each row whose Gram value is within a
-    rounding bound of the k-th smallest. The bound covers the error of
-    both formulas, so every row the direct formula ranks in the first k is
-    a candidate. The re-check recomputes the candidates' distances with
-    the direct formula and orders them by (distance, index). Distances are
-    compared after the square root, as the direct search does: sqrt can
-    merge two squared distances one ulp apart into a tie, which then goes
-    to the lower index.
+    itself it could break a tie at the k-th the other way. It only selects
+    candidates: each row whose Gram value is within a rounding bound of
+    the k-th smallest. The bound covers the error of both formulas, so
+    every row the direct formula ranks in the first k, or ties with its
+    k-th, is a candidate. A query with exactly k candidates therefore has
+    its answer; on a default session that is nearly every query. The
+    others are re-checked: their candidates' distances are recomputed
+    with the direct formula and the first k by (distance, index) kept.
+    Distances are compared after the square root, as the direct search
+    does: sqrt can merge two squared distances one ulp apart into a tie,
+    which then goes to the lower index.
     """
     n, w = queries.shape
     m = training.shape[0]
@@ -330,9 +376,9 @@ def _neighbor_indices(queries, training, k, exclude_self=False):
     while pending.size:
         retry = []
         for query_idx, n_queries, window_rows in grid.window_batches(pending, radius[pending]):
-            q, nearest, kth = _nearest_in_windows(queries, training, minus_twice_t, train_sq, gram_slack, k,
-                                                  exclude_self, query_idx, n_queries, window_rows)
-            reach = kth + grid.slack[q]
+            q, nearest, reach = _nearest_in_windows(queries, training, minus_twice_t, train_sq, query_sq,
+                                                    gram_slack, k, exclude_self, query_idx, n_queries, window_rows)
+            reach += grid.slack[q]
             done = reach < grid.gaps(q, radius[q])
             out[q[done]] = nearest[done]
             q, reach = q[~done], reach[~done]

@@ -36,6 +36,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -256,16 +257,21 @@ def _covariance_z(protocol: Protocol, vm: float) -> float:
         v = vm + 1.0
         return math.sqrt(v * v - 1.0)
     a2 = vm / 2.0
+    if a2 < sys.float_info.min:  # V_m / 2 underflows: Z is its leading term, whose relative error is about V_m
+        return math.sqrt(2.0 * vm)
     try:
         weights = _weights_four(a2) if protocol is Protocol.FOUR_STATE else _weights_eight(a2)
     except OverflowError:  # cosh and sinh of a2 overflow above V_m of about 1420
         raise NumericalDomainError("constellation weights overflow", vm=vm) from None
-    if min(weights) <= 0.0:
+    if a2 >= _SERIES_CUTOFF and min(weights) <= 0.0:
         raise NumericalDomainError("constellation weight not positive", vm=vm, weights=tuple(weights))
     total = 0.0
     for k, l_k in enumerate(weights):
-        l_prev = weights[k - 1]  # k=0 wraps to the last weight
-        total += l_prev ** 1.5 / math.sqrt(l_k)
+        # a series weight l_k of about a2^k / k! that underflowed to 0: its term's share of Z, about
+        # a2^(k - 1), is below the float resolution, so the term contributes its limit, 0
+        if l_k > 0.0:
+            l_prev = weights[k - 1]  # k=0 wraps to the last weight
+            total += l_prev ** 1.5 / math.sqrt(l_k)
     return 2.0 * a2 * total
 
 

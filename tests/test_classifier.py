@@ -49,6 +49,40 @@ def three_cluster_fixture():
     return np.array(points), labelsets
 
 
+def drawn_search(seed, w, m, kind):
+    """(queries, training, k) drawn from one of four fixture kinds: integer
+    lattices, the same 1e4 away, duplicated normal rows, and rows 1e-3
+    apart at 1e4."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    k = int(rng.integers(1, m))
+    if kind in ("lattice", "offset"):
+        # small integer coordinates: many exact ties across the k boundary
+        training = rng.integers(-2, 3, size=(m, w)).astype(float)
+        queries = rng.integers(-2, 3, size=(n, w)).astype(float)
+        if kind == "offset":
+            # a common offset makes |q|^2 + |t|^2 - 2 q.t cancel badly
+            training += 1e4
+            queries += 1e4
+    elif kind == "duplicates":
+        training = rng.normal(size=(m, w))
+        training[rng.integers(0, m, size=m // 2)] = training[rng.integers(0, m, size=m // 2)]
+        queries = training[rng.integers(0, m, size=n)]
+    else:
+        # distinct points 1e-3 apart at 1e4: rounding noise near the gaps
+        training = 1e4 + 1e-3 * rng.normal(size=(m, w))
+        queries = training[rng.integers(0, m, size=n)] + 1e-12 * rng.normal(size=(n, w))
+    return queries, training, k
+
+
+DRAWN_SEARCHES = dict(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    w=st.integers(min_value=1, max_value=8),
+    m=st.integers(min_value=2, max_value=60),
+    kind=st.sampled_from(["lattice", "offset", "duplicates", "offset-cluster"]),
+)
+
+
 @functools.cache
 def default_session_search():
     """(queries, training, k) of the query search of a default session:
@@ -60,13 +94,15 @@ def default_session_search():
 
 
 def nearest(x, training, k):
-    """The k training indices nearest to one point x, nearest first."""
+    """The k training indices nearest to one point x, as a set in ascending
+    index order."""
     return _neighbor_indices(np.array([x], dtype=float), np.array(training, dtype=float), k)[0].tolist()
 
 
 class TestNeighborSearch:
     def test_nearest_first(self):
-        assert nearest([0.0, 0.0], [[3.0, 0.0], [1.0, 0.0], [2.0, 0.0]], 2) == [1, 2]
+        # the two nearest, rows 2 then 1, come as a set in index order
+        assert nearest([0.0, 0.0], [[3.0, 0.0], [2.0, 0.0], [1.0, 0.0]], 2) == [1, 2]
 
     def test_tie_goes_to_lower_index(self):
         training = [[1.0, 0.0], [-1.0, 0.0], [5.0, 5.0]]
@@ -113,51 +149,65 @@ class TestNeighborSearch:
 
 
 class TestNeighborSearchIsExact:
-    """The candidate-and-re-check search returns exactly the neighbours,
-    in exactly the order, of a stable argsort over every distance."""
+    """The candidate-and-re-check search returns exactly the set of the
+    first k of a stable argsort over every distance, each row in index
+    order: which rows win a tie at the k-th distance is checked exactly."""
 
     @staticmethod
     def _assert_matches_oracle(queries, training, k):
         np.testing.assert_array_equal(
-            _neighbor_indices(queries, training, k), stable_argsort_neighbors(queries, training, k)
+            _neighbor_indices(queries, training, k), np.sort(stable_argsort_neighbors(queries, training, k), axis=1)
         )
         np.testing.assert_array_equal(
             _neighbor_indices(training, training, k, exclude_self=True),
-            stable_argsort_neighbors(training, training, k, exclude_self=True),
+            np.sort(stable_argsort_neighbors(training, training, k, exclude_self=True), axis=1),
         )
 
-    @given(
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-        w=st.integers(min_value=1, max_value=8),
-        m=st.integers(min_value=2, max_value=60),
-        kind=st.sampled_from(["lattice", "offset", "duplicates", "offset-cluster"]),
-        block_bytes=st.sampled_from([1, 200, 4096, 2**23]),
-    )
+    @given(**DRAWN_SEARCHES, block_bytes=st.sampled_from([1, 200, 4096, 2**23]))
     @settings(max_examples=150, deadline=None)
     def test_matches_stable_argsort(self, seed, w, m, kind, block_bytes):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 40))
-        k = int(rng.integers(1, m))
-        if kind in ("lattice", "offset"):
-            # small integer coordinates: many exact ties across the k boundary
-            training = rng.integers(-2, 3, size=(m, w)).astype(float)
-            queries = rng.integers(-2, 3, size=(n, w)).astype(float)
-            if kind == "offset":
-                # a common offset makes |q|^2 + |t|^2 - 2 q.t cancel badly
-                training += 1e4
-                queries += 1e4
-        elif kind == "duplicates":
-            training = rng.normal(size=(m, w))
-            training[rng.integers(0, m, size=m // 2)] = training[rng.integers(0, m, size=m // 2)]
-            queries = training[rng.integers(0, m, size=n)]
-        else:
-            # distinct points 1e-3 apart at 1e4: rounding noise near the gaps
-            training = 1e4 + 1e-3 * rng.normal(size=(m, w))
-            queries = training[rng.integers(0, m, size=n)] + 1e-12 * rng.normal(size=(n, w))
         # small byte budgets split the queries into many blocks
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(classifier, "_NEIGHBOR_BLOCK_BYTES", block_bytes)
-            self._assert_matches_oracle(queries, training, k)
+            self._assert_matches_oracle(*drawn_search(seed, w, m, kind))
+
+    @given(**DRAWN_SEARCHES)
+    @settings(max_examples=100, deadline=None)
+    def test_reach_is_never_below_the_kth_distance(self, seed, w, m, kind):
+        # a window is accepted on the reach, so a reach below the direct k-th distance of the rows it
+        # returned could accept a window that misses a nearer row
+        queries, training, k = drawn_search(seed, w, m, kind)
+        search = classifier._nearest_in_windows
+        checked = []
+
+        def checking(queries, training, *args):
+            q, nearest, reach = search(queries, training, *args)
+            found = np.isfinite(reach)  # infinite: a window of fewer than k rows, whose rows are no answer
+            diff = queries[q[found]][:, None, :] - training[nearest[found]]
+            assert (reach[found] >= np.sqrt(np.sum(diff * diff, axis=-1)).max(axis=1)).all()
+            checked.append(int(found.sum()))
+            return q, nearest, reach
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classifier, "_nearest_in_windows", checking)
+            _neighbor_indices(queries, training, k)
+            _neighbor_indices(training, training, k, exclude_self=True)
+        assert sum(checked) >= len(queries) + len(training)
+
+    def test_a_tie_at_the_kth_distance_is_re_checked(self, monkeypatch):
+        # rows 0, 2 and 4 are one point, all at the second distance from the query: three Gram
+        # candidates for one place, so the query goes through the re-check, which keeps row 0
+        training = np.array([[2.0, 0.0], [9.0, 9.0], [2.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        recheck = classifier._recheck
+        rechecked = []
+
+        def counting(queries, *args):
+            rechecked.append(len(queries))
+            return recheck(queries, *args)
+
+        monkeypatch.setattr(classifier, "_recheck", counting)
+        assert _neighbor_indices(np.zeros((1, 2)), training, 2).tolist() == [[0, 3]]
+        assert rechecked == [1]
 
     def test_matches_stable_argsort_on_a_default_session(self):
         self._assert_matches_oracle(*default_session_search())

@@ -165,6 +165,8 @@ FORMER_ESCAPES = {
     # a NaN score once ranked as if it were a number
     "roc_curve NaN score": lambda: roc_curve([0.5, math.nan, 0.2], [True, False, True]),
     "average_precision NaN score": lambda: average_precision([[math.nan, 1.0]], [[True, False]]),
+    # a NaN feature was once kept, since NaN > threshold is false
+    "filter_features NaN feature": lambda: filter_features([[math.nan, 0.5], [0.2, 0.3]], 1.0),
     "evaluate NaN score": lambda: evaluate([[math.nan, 1.0], [0.5, 0.2]], [[True, False], [False, True]],
                                            [[True, False], [False, True]], [False, False]),
     "extract_batch huge point": lambda: extract_batch([[1e200, 0.0]], SCHEME.points),

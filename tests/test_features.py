@@ -183,6 +183,12 @@ class TestFilter:
         kept, discarded = filter_features(np.empty((0, 4)), 1.0)
         assert kept.size == 0 and discarded.size == 0
 
+    @pytest.mark.parametrize("row", [[math.nan, 0.5], [0.5, math.nan], [math.nan, 9.0]])
+    def test_nan_feature_rejected(self, row):
+        # NaN > cap is false, so a NaN row was once kept as if it were near every reference
+        with pytest.raises(InvalidInputError, match="features must not be NaN"):
+            filter_features(np.array([row, [0.2, 0.3]]), 1.0)
+
     @given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=25, deadline=None)
     def test_filtering_is_idempotent(self, n, seed):

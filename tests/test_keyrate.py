@@ -359,6 +359,30 @@ class TestCorrelationZ:
             covariance_z(protocol, True)
 
     @pytest.mark.parametrize("protocol", [Protocol.FOUR_STATE, Protocol.EIGHT_STATE])
+    @pytest.mark.parametrize("vm", [1e-20, 1e-50, 1e-100, 1e-150, 1e-300, 5e-324])
+    def test_tiny_variance_gives_the_leading_term(self, protocol, vm):
+        # a series weight, or V_m / 2 itself, underflows to 0 here: eight-state at 1e-50 and four-state at
+        # 1e-150 and 5e-324 once raised "constellation weight not positive"
+        z = covariance_z(protocol, vm)
+        assert math.isfinite(z)
+        assert math.isclose(z, math.sqrt(2.0 * vm), rel_tol=1e-12)
+
+    def test_tiny_variance_rates_are_finite(self):
+        # the rate once exited 3 for this in-domain V_m
+        result = rate_asymptotic(KeyRateParams(vm=1e-50, transmittance=0.5))
+        assert math.isfinite(result.key_rate)
+
+    @given(log_vm=st.floats(math.log(1e-20), math.log(1400.0)),
+           protocol=st.sampled_from([Protocol.FOUR_STATE, Protocol.EIGHT_STATE]))
+    @settings(max_examples=300, deadline=None)
+    def test_positive_weights_keep_every_bit(self, log_vm, protocol):
+        # where every weight is positive, Z is the sum over all of them, as before the underflow rule
+        vm = math.exp(log_vm)
+        weights = (_weights_four if protocol is Protocol.FOUR_STATE else _weights_eight)(vm / 2.0)
+        assert min(weights) > 0.0
+        assert covariance_z(protocol, vm) == correlation_from_weights(vm / 2.0, weights)
+
+    @pytest.mark.parametrize("protocol", [Protocol.FOUR_STATE, Protocol.EIGHT_STATE])
     def test_weight_overflow_is_a_numerical_domain_error(self, protocol):
         assert math.isfinite(covariance_z(protocol, 1400.0))
         with pytest.raises(NumericalDomainError, match="constellation weights overflow"):

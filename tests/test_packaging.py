@@ -98,3 +98,31 @@ def test_only_the_errors_module_looks_up_a_package_enum():
                      for node in ast.walk(tree) if isinstance(node, ast.Call) and node.args
                      and called_name(node) in enums and name != "errors.py")
     assert lookups == []
+
+
+def enclosing_functions(path: Path, name: str) -> list[str]:
+    """The innermost function around each use of a name in one module,
+    '<module>' for a use outside every function."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Name) and child.id == name) or \
+                    (isinstance(child, ast.Attribute) and child.attr == name):
+                found.append(where)
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(), str(path)), "<module>")
+    return found
+
+
+def test_only_train_and_posterior_ratios_search_neighbours():
+    # the search returns each query's neighbours as a set in index order, which suits callers that count
+    # label carriers among them; a new caller could rely on an order the search no longer gives
+    package = ROOT / "src" / "mlcvqkd"
+    callers = sorted({f"{path.name}:{where}" for path in package.rglob("*.py")
+                      for where in enclosing_functions(path, "_neighbor_indices")})
+    assert callers == ["classifier.py:posterior_ratios", "classifier.py:train"]
