@@ -91,15 +91,20 @@ class TrainedClassifier:
         return self.features.shape[0]
 
     def to_json_dict(self) -> dict:
+        """The version-1 classifier document. Its arrays stay numpy arrays,
+        C-contiguous (float64, and int64 for label_flags), so a writer can
+        serialize them directly (orjson with OPT_SERIALIZE_NUMPY, which
+        refuses a non-contiguous array); .tolist() gives the plain-JSON
+        values that from_json_dict reads back."""
         return {
             "format": "qmlc-classifier",
             "version": 1,
             "params": {"k": self.params.k, "s": self.params.s, "t": self.params.t},
-            "prior_pos": self.prior_pos.tolist(),
-            "counts_pos": self.counts_pos.tolist(),
-            "counts_neg": self.counts_neg.tolist(),
-            "features": self.features.tolist(),
-            "label_flags": self.label_flags.astype(int).tolist(),
+            "prior_pos": np.ascontiguousarray(self.prior_pos, dtype=float),
+            "counts_pos": np.ascontiguousarray(self.counts_pos, dtype=float),
+            "counts_neg": np.ascontiguousarray(self.counts_neg, dtype=float),
+            "features": np.ascontiguousarray(self.features, dtype=float),
+            "label_flags": np.ascontiguousarray(self.label_flags, dtype=np.int64),
         }
 
     @classmethod
@@ -199,7 +204,7 @@ class _ProjectionGrid:
             while stop < len(counts):
                 grown = max(most, counts[stop])
                 # per window: the Gram block, its copy of valid rows and the partition's copy (8 bytes an
-                # entry each), the exclude-self mask (1 byte an entry), and the gathered query and training
+                # entry each), the candidate mask (1 byte an entry), and the gathered query and training
                 # rows with their indices
                 if (stop - start + 1) * (25 * grown * widths[stop] + 8 * (grown + widths[stop]) * (self.w + 1)) \
                         > _NEIGHBOR_BLOCK_BYTES:
@@ -264,6 +269,13 @@ def _nearest_in_windows(queries, training, minus_twice_t, train_sq, query_sq, gr
     distance, never below it, and infinite when a window holds fewer than
     k rows.
 
+    With exclude_self, query i is training row i, which lies in its own
+    window. Since a window's rows ascend, one searchsorted over the
+    windows' rows (each window offset by m + 1, so they ascend across
+    windows too) finds its slot, and that single Gram entry is set to inf.
+    A padding query may find any slot, or none; its slot is clipped to the
+    window, and its row is dropped with the other invalid ones.
+
     A query with exactly k Gram candidates takes them as its answer: every
     row that the direct formula ranks in the first k, or ties with its
     k-th, is a candidate, so no other row can be. Its reach is
@@ -278,12 +290,15 @@ def _nearest_in_windows(queries, training, minus_twice_t, train_sq, query_sq, gr
     """
     m = training.shape[0]
     g, most = query_idx.shape
+    width = window_rows.shape[1]
     # |t|^2 - 2 q.t: the Gram distance less |q|^2, which ranks a row the same
     gram = np.matmul(queries[query_idx],
                      np.take(minus_twice_t, window_rows, axis=0, mode="clip").transpose(0, 2, 1))
     gram += np.where(window_rows < m, np.take(train_sq, window_rows, mode="clip"), np.inf)[:, None, :]
-    if exclude_self:
-        gram[query_idx[:, :, None] == window_rows[:, None, :]] = np.inf
+    if exclude_self:  # each query's own slot in its window, found by position
+        shift = (m + 1) * np.arange(g)[:, None]
+        slot = np.searchsorted((window_rows + shift).ravel(), query_idx + shift) - width * np.arange(g)[:, None]
+        np.put_along_axis(gram, np.minimum(slot, width - 1)[:, :, None], np.inf, axis=2)
     valid = (np.arange(most) < n_queries[:, None]).ravel()
     gram = gram.reshape(g * most, -1)[valid]
     q = query_idx.ravel()[valid]
@@ -291,7 +306,7 @@ def _nearest_in_windows(queries, training, minus_twice_t, train_sq, query_sq, gr
     kth = np.partition(gram, k - 1, axis=1)[:, k - 1]
     bound = np.where(np.isfinite(kth), kth + gram_slack[q], -np.inf)
     # row-major, so each query's candidates come in the ascending order of its window's rows
-    rows, pos = np.divmod(np.flatnonzero(gram <= bound[:, None]), window_rows.shape[1])
+    rows, pos = np.divmod(np.flatnonzero(gram <= bound[:, None]), width)
     candidates = window_rows[np.repeat(np.arange(g), n_queries)[rows], pos]
     reach = np.sqrt(kth + query_sq[q] + gram_slack[q])
     if len(rows) == n * k and (rows.reshape(n, k) == np.arange(n)[:, None]).all():
@@ -333,12 +348,17 @@ def _neighbor_indices(queries, training, k, exclude_self=False):
     below the projected distance to the nearest cell outside that window:
     then every row outside is strictly farther than the k-th, ties
     included. Otherwise it is searched again in a window wide enough for
-    that reach. A window covering the whole grid is always accepted; it is
-    the search over every row. Queries with the same window are searched
-    together, in batches of windows whose arrays (the Gram block and its
-    copies, the exclude-self mask, the gathered rows) stay within
-    _NEIGHBOR_BLOCK_BYTES, 2 MB, unless the batch is a single window: a
-    window is never split.
+    that reach. A window covering the whole grid is always accepted, since
+    it holds m > k rows; it is the search over every row. A query left
+    unaccepted at such a window is a defect of the search, and a
+    RuntimeError rather than an endless retry. Queries with the same window
+    are searched together, in batches of windows whose arrays (the Gram
+    block and its copies, the candidate mask, the gathered rows) stay
+    within _NEIGHBOR_BLOCK_BYTES, 2 MB, unless the batch is a single
+    window: a window is never split. Each batch writes its neighbours
+    straight into the result; the acceptance test runs once a round, over
+    every query the round searched, and a query that fails it is searched
+    again and its row overwritten.
 
     Within a window the search runs in two stages. The Gram expansion
     |q|^2 + |t|^2 - 2 q.t gives every squared distance with one matrix
@@ -374,18 +394,51 @@ def _neighbor_indices(queries, training, k, exclude_self=False):
     pending = np.arange(n)
     radius = np.ones(n, dtype=np.intp)
     while pending.size:
-        retry = []
+        # each pending query is searched once a round, so its queries and reaches fill arrays of that size
+        # (per-batch lists of them, joined after the round, fragmented the heap: +1.3 MB of peak RSS)
+        q, reach = np.empty_like(pending), np.empty(len(pending))
+        filled = 0
         for query_idx, n_queries, window_rows in grid.window_batches(pending, radius[pending]):
-            q, nearest, reach = _nearest_in_windows(queries, training, minus_twice_t, train_sq, query_sq,
-                                                    gram_slack, k, exclude_self, query_idx, n_queries, window_rows)
-            reach += grid.slack[q]
-            done = reach < grid.gaps(q, radius[q])
-            out[q[done]] = nearest[done]
-            q, reach = q[~done], reach[~done]
-            radius[q] = np.maximum(grid.radius_reaching(q, reach), radius[q] + 1)
-            retry.append(q)
-        pending = np.concatenate(retry)
+            batch, nearest, batch_reach = _nearest_in_windows(queries, training, minus_twice_t, train_sq, query_sq,
+                                                              gram_slack, k, exclude_self, query_idx, n_queries,
+                                                              window_rows)
+            out[batch] = nearest  # a query that is not accepted is searched again and overwritten
+            q[filled:filled + len(batch)], reach[filled:filled + len(batch)] = batch, batch_reach
+            filled += len(batch)
+        reach += grid.slack[q]
+        gap = grid.gaps(q, radius[q])
+        retry = ~(reach < gap)  # a NaN reach is never accepted
+        if np.isinf(gap[retry]).any():
+            raise RuntimeError("the neighbour search did not accept a query whose window covers the grid")
+        pending = q[retry]
+        radius[pending] = np.maximum(grid.radius_reaching(pending, reach[retry]), radius[pending] + 1)
     return out
+
+
+def _label_counts(label_flags, neighbors):
+    """C[i, j], the number of carriers of label j among the rows
+    neighbors[i]: label_flags[neighbors].sum(axis=1), as an (n, l) intp
+    array.
+
+    Each training row's l flags are packed into lanes of uint64 words, a
+    lane the smallest of 8, 16, 32 or 64 bits that holds k, the number of
+    neighbours, so a word holds 64 // width labels. The words of a row's
+    neighbours are summed and each label's lane read back with a shift and
+    a mask. The sum is exact: a lane sums to at most k, so it never carries
+    into the next. Shifts and masks act on the values, so byte order does
+    not matter.
+    """
+    k = neighbors.shape[1]
+    width = next(bits for bits in (8, 16, 32, 64) if k < 2**bits)
+    per_word = 64 // width
+    counts = np.empty((neighbors.shape[0], label_flags.shape[1]), dtype=np.intp)
+    for first in range(0, label_flags.shape[1], per_word):
+        flags = label_flags[:, first:first + per_word]
+        shift = width * np.arange(flags.shape[1], dtype=np.uint64)
+        words = (flags.astype(np.uint64) << shift).sum(axis=1)
+        sums = np.take(words, neighbors).sum(axis=1, dtype=np.uint64)
+        counts[:, first:first + per_word] = (sums[:, None] >> shift) & np.uint64(2**width - 1)
+    return counts
 
 
 def train(features: np.ndarray, label_flags: np.ndarray, params: QmlcParams) -> TrainedClassifier:
@@ -404,7 +457,7 @@ def train(features: np.ndarray, label_flags: np.ndarray, params: QmlcParams) -> 
     # psi[i, j]: carriers of label j among sample i's k nearest neighbors,
     # the sample itself excluded from its own neighborhood
     neighbors = _neighbor_indices(features, features, k, exclude_self=True)
-    psi = label_flags[neighbors].sum(axis=1)  # (m, l)
+    psi = _label_counts(label_flags, neighbors)  # (m, l)
 
     counts_pos = np.zeros((n_labels, k + 1))
     counts_neg = np.zeros((n_labels, k + 1))
@@ -422,7 +475,7 @@ def posterior_ratios(clf: TrainedClassifier, queries: np.ndarray) -> np.ndarray:
     instance("clf", clf, TrainedClassifier)
     queries = array("queries", queries, (None, None))
     neighbors = _neighbor_indices(queries, clf.features, clf.params.k)
-    c = clf.label_flags[neighbors].sum(axis=1)  # (n, l)
+    c = _label_counts(clf.label_flags, neighbors)  # (n, l)
     labels_idx = np.arange(c.shape[1])
     numer = clf.prior_pos[None, :] * clf.cond_pos[labels_idx, c]
     denom = clf.prior_neg[None, :] * clf.cond_neg[labels_idx, c]

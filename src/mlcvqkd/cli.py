@@ -217,8 +217,9 @@ def _write_compact_json(path: Path, doc) -> None:
     """doc as compact JSON through orjson, for the large documents of finite
     floats and 64-bit integers (classifier.json, transcript.json); it
     formats floats an order of magnitude faster than json.dumps, and json
-    reads back the same values."""
-    path.write_bytes(orjson.dumps(doc) + b"\n")
+    reads back the same values. A C-contiguous numpy array in doc is
+    written as its .tolist() would be, without building the list."""
+    path.write_bytes(orjson.dumps(doc, option=orjson.OPT_SERIALIZE_NUMPY) + b"\n")
 
 
 def cmd_simulate(config: dict, out_dir: Path) -> int:

@@ -80,12 +80,13 @@ def filter_features(features: np.ndarray, threshold: float) -> tuple[np.ndarray,
     callers can keep feature rows, labels, and state indices aligned.
     Discarded samples are returned, never silently dropped: the discard
     rate is a monitored statistic, since excessive filtering biases the
-    classifier. A NaN feature is an InvalidInputError.
+    classifier. A feature is a distance, so a NaN or negative one is an
+    InvalidInputError.
     """
     threshold = _threshold(threshold)
     features = array("features", features, (None, None))
-    if np.isnan(features).any():  # NaN > threshold is false, so the row would be kept
-        raise InvalidInputError("features must not be NaN")
+    if not (features >= 0).all():  # NaN > threshold and -inf > threshold are false: the row would be kept
+        raise InvalidInputError("features must not be NaN or negative")
     over = (features > threshold).any(axis=1)
     idx = np.arange(features.shape[0])
     return idx[~over], idx[over]

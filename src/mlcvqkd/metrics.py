@@ -125,16 +125,12 @@ def roc_curve(scores: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, float]
     n_pos = int(truth.sum())
     n_neg = int((~truth).sum())
 
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_truth = truth[order]
-
-    cum_tp = np.cumsum(sorted_truth)
-    cum_fp = np.cumsum(~sorted_truth)
-    # keep only the last position of each run of equal scores (none of no scores)
-    last_of_run = np.append(sorted_scores[1:] != sorted_scores[:-1], True)[:len(scores)]
-    tp = np.concatenate([[0], cum_tp[last_of_run]])
-    fp = np.concatenate([[0], cum_fp[last_of_run]])
+    # run[i]: the rank of sample i's score among the distinct scores, highest first; each threshold
+    # step takes in one whole run of equal scores
+    distinct, run = np.unique(-scores, return_inverse=True)
+    tp = np.cumsum(np.bincount(run[truth], minlength=len(distinct)))
+    fp = np.cumsum(np.bincount(run, minlength=len(distinct))) - tp
+    tp, fp = np.concatenate([[0], tp]), np.concatenate([[0], fp])
 
     if n_pos == 0 or n_neg == 0:
         tpr = np.zeros_like(tp, dtype=float) if n_pos == 0 else tp / n_pos

@@ -209,6 +209,19 @@ class TestNeighborSearchIsExact:
         assert _neighbor_indices(np.zeros((1, 2)), training, 2).tolist() == [[0, 3]]
         assert rechecked == [1]
 
+    def test_a_query_unaccepted_at_a_window_covering_the_grid_raises(self, monkeypatch):
+        # infinite reaches are never accepted; the retry loop once searched such a query forever
+        search = classifier._nearest_in_windows
+
+        def unreachable(*args):
+            q, nearest, reach = search(*args)
+            return q, nearest, np.full_like(reach, np.inf)
+
+        monkeypatch.setattr(classifier, "_nearest_in_windows", unreachable)
+        queries, training, k = drawn_search(0, 3, 60, "duplicates")
+        with pytest.raises(RuntimeError, match="covers the grid"):
+            _neighbor_indices(queries, training, k)
+
     def test_matches_stable_argsort_on_a_default_session(self):
         self._assert_matches_oracle(*default_session_search())
 
@@ -293,6 +306,28 @@ class TestNeighborSearchOnAGrid:
         # the grid pruned: all queries of both searches together looked at
         # fewer than a tenth of the rows a full search reads
         assert sum(looked_at) < 0.1 * (len(queries) + self.M) * self.M
+
+
+class TestLabelCounts:
+    """C_j from label flags packed into uint64 lanes equals the plain sum of
+    the neighbours' flags, across the 8 -> 16-bit lane at k = 256 and
+    across words (eight 8-bit lanes a word)."""
+
+    @given(k=st.integers(1, 300), n_labels=st.integers(0, 10), n=st.integers(0, 50), m=st.integers(1, 40),
+           carried=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_equal_the_sums_of_the_neighbours_flags(self, k, n_labels, n, m, carried, seed):
+        rng = np.random.default_rng(seed)
+        flags = rng.random((m, n_labels)) < carried
+        neighbors = rng.integers(0, m, size=(n, k))
+        counts = classifier._label_counts(flags, neighbors)
+        assert counts.dtype == np.intp
+        np.testing.assert_array_equal(counts, flags[neighbors].sum(axis=1))
+
+    @pytest.mark.parametrize("k", [255, 256, 2**16])
+    def test_full_lanes_do_not_carry(self, k):
+        flags = np.ones((3, 10), dtype=bool)
+        assert classifier._label_counts(flags, np.zeros((2, k), dtype=np.intp)).tolist() == [[k] * 10] * 2
 
 
 class TestTraining:

@@ -8,6 +8,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -408,6 +409,11 @@ class TestSimulate:
         np.testing.assert_array_equal(rows[:, 3:], received)
 
 
+def plain_values(doc):
+    """doc with each numpy array as its .tolist(): the values stdlib json reads back."""
+    return {key: value.tolist() if isinstance(value, np.ndarray) else value for key, value in doc.items()}
+
+
 class TestLearnPredict:
     def test_learn_then_predict_round_trip(self, tmp_path, capsys):
         path = write_config(tmp_path, QUIET_SESSION)
@@ -444,7 +450,7 @@ class TestLearnPredict:
         clf = state_learning(_session_config(config), _stage_rng(config, "learn")).classifier
         text = (out / "classifier.json").read_text()
         assert text.endswith("}\n")
-        doc, want = json.loads(text), clf.to_json_dict()
+        doc, want = json.loads(text), plain_values(clf.to_json_dict())
         assert doc == want and repr(doc) == repr(want)
 
         code = main(["--config", path, "--out", str(out), "predict", "--classifier", str(out / "classifier.json")])
@@ -787,6 +793,32 @@ class TestWriteCompactJson:
             _write_compact_json(path, doc)
             assert repr(json.loads(path.read_text())) == repr(doc)
 
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                           | st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e16, 1.7976931348623157e308]), max_size=60),
+           columns=st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_numpy_arrays_are_written_as_their_lists(self, values, columns):
+        one = np.array(values, dtype=float)
+        two = one[: len(one) // columns * columns].reshape(-1, columns)
+        for array in (one, two):
+            assert orjson.dumps(array, option=orjson.OPT_SERIALIZE_NUMPY) == orjson.dumps(array.tolist())
+
+    @pytest.mark.parametrize("layout", ["strided", "fortran"])
+    def test_a_classifier_trained_on_non_contiguous_features_is_written(self, tmp_path, layout):
+        # orjson refuses a non-contiguous array, and train keeps a float64 view as it is
+        rng = np.random.default_rng(6)
+        if layout == "strided":
+            features, flags = rng.normal(size=(30, 16))[:, ::2], rng.random((30, 4)) < 0.5
+        else:
+            features, flags = np.asfortranarray(rng.normal(size=(30, 8))), np.asfortranarray(rng.random((30, 4)) < 0.5)
+        clf = train(features, flags, QmlcParams(k=3))
+        assert not clf.features.flags.c_contiguous
+        path = tmp_path / "classifier.json"
+        _write_compact_json(path, clf.to_json_dict())
+        doc = json.loads(path.read_text())
+        assert doc["features"] == features.tolist() and doc["label_flags"] == flags.astype(int).tolist()
+        assert doc == plain_values(clf.to_json_dict())
+
     def test_a_classifier_trained_with_numpy_s_and_t_reads_back_equal(self, tmp_path):
         rng = np.random.default_rng(5)
         params = QmlcParams(k=3, s=np.float32(0.5), t=np.float32(1.5))
@@ -794,7 +826,7 @@ class TestWriteCompactJson:
         path = tmp_path / "classifier.json"
         _write_compact_json(path, clf.to_json_dict())
         doc = json.loads(path.read_text())
-        assert doc == clf.to_json_dict()
+        assert doc == plain_values(clf.to_json_dict())
         assert TrainedClassifier.from_json_dict(doc).params == params
 
 

@@ -167,6 +167,9 @@ FORMER_ESCAPES = {
     "average_precision NaN score": lambda: average_precision([[math.nan, 1.0]], [[True, False]]),
     # a NaN feature was once kept, since NaN > threshold is false
     "filter_features NaN feature": lambda: filter_features([[math.nan, 0.5], [0.2, 0.3]], 1.0),
+    # and so was a negative one, since -1.0 > threshold is false
+    "filter_features negative feature": lambda: filter_features([[-1.0, 0.5], [0.2, 0.3]], 1.0),
+    "filter_features -inf feature": lambda: filter_features([[-math.inf, 0.5], [0.2, 0.3]], 1.0),
     "evaluate NaN score": lambda: evaluate([[math.nan, 1.0], [0.5, 0.2]], [[True, False], [False, True]],
                                            [[True, False], [False, True]], [False, False]),
     "extract_batch huge point": lambda: extract_batch([[1e200, 0.0]], SCHEME.points),

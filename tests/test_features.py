@@ -189,6 +189,12 @@ class TestFilter:
         with pytest.raises(InvalidInputError, match="features must not be NaN"):
             filter_features(np.array([row, [0.2, 0.3]]), 1.0)
 
+    @pytest.mark.parametrize("row", [[-1.0, 0.5], [-math.inf, 0.5], [0.5, -5e-324]])
+    def test_negative_feature_rejected(self, row):
+        # a feature is a distance; -inf or -1.0 is never over the cap, so such a row was once kept
+        with pytest.raises(InvalidInputError, match="features must not be NaN or negative"):
+            filter_features(np.array([row, [0.2, 0.3]]), 1.0)
+
     @given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=25, deadline=None)
     def test_filtering_is_idempotent(self, n, seed):
